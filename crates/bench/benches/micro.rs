@@ -18,11 +18,10 @@ const BLOCK: u64 = 256 * MB;
 /// Build a master with `blocks` pending 256 MB migrations over 7 nodes.
 fn loaded_master(blocks: u64) -> Master {
     let mut m = Master::new(MigrationPolicy::Dyrs, 7, 140.0 * MB as f64, Rng::new(1));
-    // Pin the reference engine: the incremental pass skips clean entries,
+    // Pin the reference engine: the production pass skips clean entries,
     // so warm iterations of a retarget loop would measure nothing.
     m.set_sched_config(SchedulerConfig {
         engine: SchedEngine::Reference,
-        ..SchedulerConfig::default()
     });
     let mut rng = Rng::new(2);
     for n in 0..7 {

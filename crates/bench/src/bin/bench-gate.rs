@@ -23,13 +23,10 @@ use std::process::ExitCode;
 /// enough (≥ ~1 ms) that the 25% threshold clears machine jitter.
 const PINNED: &[&str] = &[
     "algo1/full_rescan_100k",
-    "algo1/incremental_100k_1dirty",
-    "algo1/monolithic_1m_1k",
-    "algo1/monolithic_1m_sparse_pass",
-    "algo1/monolithic_1m_refresh_pass",
-    "algo1/sharded_1m_1k",
-    "algo1/sharded_1m_sparse_pass",
-    "algo1/sharded_1m_refresh_pass",
+    "algo1/planned_100k_1dirty",
+    "algo1/planned_1m_1k",
+    "algo1/planned_1m_sparse_pass",
+    "algo1/planned_1m_refresh_pass",
 ];
 
 /// Extract `(name, median_ns)` pairs from a `bench-snapshot` JSON. The

@@ -70,10 +70,7 @@ fn loaded_master(blocks: u64, nodes: u32, engine: SchedEngine) -> Master {
         140.0 * MB as f64,
         Rng::new(1),
     );
-    m.set_sched_config(SchedulerConfig {
-        engine,
-        ..SchedulerConfig::default()
-    });
+    m.set_sched_config(SchedulerConfig { engine });
     let mut rng = Rng::new(2);
     for n in 0..nodes {
         m.on_heartbeat(
@@ -103,18 +100,17 @@ fn loaded_master(blocks: u64, nodes: u32, engine: SchedEngine) -> Master {
 /// still deterministic and spreads uniformly; only the picker differs
 /// (the 100k benches keep `loaded_master` so their RNG streams, and thus
 /// their committed baselines, are untouched).
-fn loaded_master_1m(blocks: u64, nodes: u32, cfg: SchedulerConfig) -> Master {
+fn loaded_master_1m(blocks: u64, nodes: u32) -> Master {
     let mut m = Master::new(
         MigrationPolicy::Dyrs,
         nodes as usize,
         140.0 * MB as f64,
         Rng::new(1),
     );
-    m.set_sched_config(cfg);
     let mut rng = Rng::new(2);
     // Fixed one-block backlog everywhere: the benched drift below then
     // perturbs *only* the spb estimate, so the dirtiness really is sparse
-    // (a queued-bytes jump would flip winners and cascade shard-wide,
+    // (a queued-bytes jump would flip winners and cascade queue-wide,
     // turning every pass into a de-facto full rescan).
     for n in 0..nodes {
         m.on_heartbeat(
@@ -141,33 +137,30 @@ fn loaded_master_1m(blocks: u64, nodes: u32, cfg: SchedulerConfig) -> Master {
     m
 }
 
-/// The tentpole bar: keeping 1M pending blocks' targets current across a
-/// 1k-node fleet, monolithic incremental engine vs the sharded engine
-/// with the cascade ceiling armed.
+/// Keeping 1M pending blocks' targets current across a 1k-node fleet
+/// with the production engine.
 ///
 /// One iteration is one heartbeat *window* — the unit the batched driver
 /// path actually processes: seven sparse ticks (32 spread-out nodes
-/// report estimate drift, everyone else is epsilon-clean) and then one
+/// report estimate drift, everyone else is clean) and then one
 /// fleet-wide refresh tick (every node reports a moved estimate — the
 /// estimator-rebaseline / post-recovery-resync case). Each tick ends in
-/// one retarget pass. The window median is the acceptance pair
-/// (`algo1/*_1m_1k`); the per-regime pass medians are also recorded so
-/// the JSON carries the decomposition:
+/// one retarget pass. The window median is `algo1/planned_1m_1k`; the
+/// per-regime pass medians are also recorded so the JSON carries the
+/// decomposition:
 ///
-/// * sparse ticks — the sharded plan/walk beats the monolithic global
-///   BTree visit set on constant factors (plan vectors + blocked touch
-///   sweep vs per-visit tree churn and fresh score allocations);
-/// * refresh ticks — the cascade ceiling trips upfront from O(1) index
-///   bounds and the pass finishes as the sequential reference rescan,
-///   while the monolithic engine builds and drains a 1M-entry visit set.
+/// * sparse ticks — the plan walk: a sorted visit plan over the dirty
+///   nodes' replica holders, streamed ahead of the scoring cursor;
+/// * refresh ticks — the density ceiling trips upfront from O(1) index
+///   bounds and the pass runs as the sequential full walk.
 fn bench_algo1_1m() -> Vec<Snapshot> {
     const PENDING: u64 = 1_000_000;
     const NODES: u32 = 1_000;
     const DIRTY: u32 = 32;
     const WINDOWS: usize = 6;
     const SPARSE_TICKS: usize = 7;
-    let run = |names: [&'static str; 3], cfg: SchedulerConfig| -> Vec<Snapshot> {
-        let mut m = loaded_master_1m(PENDING, NODES, cfg);
+    let run = |names: [&'static str; 3]| -> Vec<Snapshot> {
+        let mut m = loaded_master_1m(PENDING, NODES);
         // Re-baseline every node's estimate with locally-known values, so
         // the benched drift below perturbs each node *around its own
         // baseline*. Jumping a node to an unrelated estimate would flip
@@ -192,8 +185,8 @@ fn bench_algo1_1m() -> Vec<Snapshot> {
             for _ in 0..SPARSE_TICKS {
                 tick += 1;
                 // 32 spread-out nodes report a hair of estimate drift;
-                // the set shifts each tick so different shards stay
-                // involved.
+                // the set shifts each tick so different queue regions
+                // stay involved.
                 for d in 0..DIRTY {
                     let node = (d * (NODES / DIRTY) + (tick as u32 % 31)) % NODES;
                     let drift = spbs[node as usize] * (1.0 + (tick + d as u64) as f64 * 1e-12);
@@ -219,48 +212,18 @@ fn bench_algo1_1m() -> Vec<Snapshot> {
             summarize(names[2], refresh),
         ]
     };
-    let mut out = run(
-        [
-            "algo1/monolithic_1m_1k",
-            "algo1/monolithic_1m_sparse_pass",
-            "algo1/monolithic_1m_refresh_pass",
-        ],
-        SchedulerConfig {
-            engine: SchedEngine::Incremental,
-            ..SchedulerConfig::default()
-        },
-    );
-    out.extend(run(
-        [
-            "algo1/sharded_1m_1k",
-            "algo1/sharded_1m_sparse_pass",
-            "algo1/sharded_1m_refresh_pass",
-        ],
-        SchedulerConfig {
-            engine: SchedEngine::Sharded,
-            shards: 16,
-            cascade_ceiling: 0.25,
-            ..SchedulerConfig::default()
-        },
-    ));
-    out
+    run([
+        "algo1/planned_1m_1k",
+        "algo1/planned_1m_sparse_pass",
+        "algo1/planned_1m_refresh_pass",
+    ])
 }
 
-/// `on_slave_pull` against the 1M-entry sharded store: per-node bind
-/// queues plus the K-way merge keep the pull independent of total
-/// pending size.
+/// `on_slave_pull` against the 1M-entry store: per-node bind queues keep
+/// the pull independent of total pending size.
 fn bench_pull_bind_1m() -> Snapshot {
     const NODES: u32 = 1_000;
-    let mut m = loaded_master_1m(
-        1_000_000,
-        NODES,
-        SchedulerConfig {
-            engine: SchedEngine::Sharded,
-            shards: 16,
-            cascade_ceiling: 0.25,
-            ..SchedulerConfig::default()
-        },
-    );
+    let mut m = loaded_master_1m(1_000_000, NODES);
     m.retarget();
     let mut node = 0u32;
     summarize(
@@ -274,7 +237,7 @@ fn bench_pull_bind_1m() -> Snapshot {
 
 fn bench_retarget() -> Snapshot {
     // The paper's §III-D scalability bar: 50 GB pending = 200 blocks.
-    // Pinned to the reference engine: with the incremental one, every
+    // Pinned to the reference engine: with the production one, every
     // warm iteration hits the empty-dirty skip and times nothing.
     let mut m = loaded_master(200, 7, SchedEngine::Reference);
     summarize(
@@ -286,9 +249,9 @@ fn bench_retarget() -> Snapshot {
     )
 }
 
-/// The 100k-pending scheduler pair: full rescan vs the incremental pass
+/// The 100k-pending scheduler pair: full rescan vs the production pass
 /// with exactly one dirty node per iteration. The acceptance bar is the
-/// incremental median ≥10× below the full-rescan median.
+/// production median ≥10× below the full-rescan median.
 fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
     const PENDING: u64 = 100_000;
     const NODES: u32 = 100;
@@ -301,14 +264,14 @@ fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
             }),
         )
     };
-    let incremental = {
-        let mut m = loaded_master(PENDING, NODES, SchedEngine::Incremental);
+    let planned = {
+        let mut m = loaded_master(PENDING, NODES, SchedEngine::Planned);
         let spb = 1.0 / (140.0 * MB as f64);
         m.on_heartbeat(NodeId(0), spb, BLOCK);
         m.retarget(); // warm: first pass scores everything
         let mut tick = 0u64;
         summarize(
-            "algo1/incremental_100k_1dirty",
+            "algo1/planned_100k_1dirty",
             sample(24, || {
                 // One node's measured cost jitters between heartbeats —
                 // the steady-state shape: only the dirty node's replica
@@ -321,7 +284,7 @@ fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
             }),
         )
     };
-    (full, incremental)
+    (full, planned)
 }
 
 /// `on_slave_pull` against small and huge pending stores: with the
@@ -329,7 +292,7 @@ fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
 fn bench_pull_bind() -> (Snapshot, Snapshot) {
     const NODES: u32 = 40;
     let run = |name: &'static str, pending: u64| -> Snapshot {
-        let mut m = loaded_master(pending, NODES, SchedEngine::Incremental);
+        let mut m = loaded_master(pending, NODES, SchedEngine::Planned);
         m.retarget();
         let mut node = 0u32;
         summarize(
@@ -428,9 +391,9 @@ fn main() {
         .unwrap_or_else(|| "local".into());
     let out_dir = flag("--out").unwrap_or_else(|| ".".into());
 
-    let (full_rescan, incremental) = bench_algo1_scaling();
+    let (full_rescan, planned) = bench_algo1_scaling();
     let (pull_1k, pull_100k) = bench_pull_bind();
-    let mut snapshots = vec![bench_retarget(), full_rescan, incremental];
+    let mut snapshots = vec![bench_retarget(), full_rescan, planned];
     snapshots.extend(bench_algo1_1m());
     snapshots.extend([
         pull_1k,

@@ -48,8 +48,7 @@ pub struct DyrsConfig {
     /// per-node quarantine.
     #[serde(default)]
     pub failure_detector: FailureDetectorConfig,
-    /// Pending-migration scheduler: which Algorithm 1 engine runs and how
-    /// eagerly estimate drift dirties nodes.
+    /// Pending-migration scheduler: which Algorithm 1 engine runs.
     #[serde(default)]
     pub scheduler: SchedulerConfig,
     /// Up/down-tier decision policy on multi-tier buffer stacks: Baseline
@@ -60,69 +59,29 @@ pub struct DyrsConfig {
     pub tier_policy: dyrs_tiers::TierPolicyKind,
 }
 
-/// Which Algorithm 1 implementation the master's scheduler runs. All
-/// three are decision-identical (asserted by the `sched_equivalence`
-/// proptests); the reference pass exists for differential testing and as
-/// the executable form of the paper's pseudocode.
+/// Which Algorithm 1 implementation the master's scheduler runs. Both are
+/// decision-identical (asserted by the `sched_equivalence` proptests);
+/// the reference pass exists for differential testing and as the
+/// executable form of the paper's pseudocode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SchedEngine {
-    /// Dirty-set incremental pass: only entries whose candidate set or
-    /// node trajectories changed since the last pass are rescored.
+    /// The production pass: only entries whose candidate set or node
+    /// trajectories changed since the last pass are rescored, walked as a
+    /// sorted visit plan. A pass that would visit more than
+    /// [`crate::sched::CASCADE_CEILING`] of the queue runs the full walk
+    /// instead.
     #[default]
-    Incremental,
+    Planned,
     /// The paper's full rescan: every pending entry rescored every pass.
     Reference,
-    /// The shard-local incremental pass: per-shard sorted visit lists
-    /// walked through a K-way merge, allocation-free rescoring, and the
-    /// optional cascade cost ceiling (`cascade_ceiling`). Decisions are
-    /// bit-identical to `Incremental` at every shard count.
-    Sharded,
 }
 
-/// Scheduler engine selection and dirty-set thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Scheduler engine selection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SchedulerConfig {
     /// Which retarget engine runs.
     #[serde(default)]
     pub engine: SchedEngine,
-    /// Relative threshold below which a node's seconds-per-byte drift is
-    /// ignored by the scoring snapshot (the node is not dirtied and keeps
-    /// its old estimate). `0.0` — the default — mirrors every heartbeat
-    /// exactly, keeping decisions identical to the paper's master;
-    /// positive values trade estimate freshness for fewer rescores under
-    /// EWMA jitter. Queued-bytes and candidacy changes always apply.
-    #[serde(default)]
-    pub spb_epsilon: f64,
-    /// Number of range shards the pending store partitions into. `1`
-    /// (the default) reproduces the monolithic layout exactly; larger
-    /// counts spread `by_block`/`replica_idx`/bind-queue state over
-    /// shards keyed by block-id range. Drain order is unchanged at any
-    /// value (cross-shard K-way merge over the `OrderKey` total order).
-    #[serde(default = "default_shards")]
-    pub shards: usize,
-    /// Cascade cost ceiling for the `Sharded` engine: when a pass's
-    /// visit set in any one shard exceeds this fraction of the shard's
-    /// queue, the pass abandons incremental accounting and finishes with
-    /// the reference walk (identical decisions by construction; the
-    /// switch is recorded via the `sched.cascade_ceiling` counter).
-    /// `0.0` — the default — disables the ceiling.
-    #[serde(default)]
-    pub cascade_ceiling: f64,
-}
-
-fn default_shards() -> usize {
-    1
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            engine: SchedEngine::default(),
-            spb_epsilon: 0.0,
-            shards: default_shards(),
-            cascade_ceiling: 0.0,
-        }
-    }
 }
 
 /// Master-side gray-failure detector knobs.
@@ -306,12 +265,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_defaults_are_exact_incremental() {
-        let s = DyrsConfig::default().scheduler;
-        assert_eq!(s.engine, SchedEngine::Incremental);
-        assert_eq!(s.spb_epsilon, 0.0, "default snapshot is an exact mirror");
-        assert_eq!(s.shards, 1, "default layout is monolithic");
-        assert_eq!(s.cascade_ceiling, 0.0, "ceiling is off by default");
+    fn scheduler_defaults_to_the_planned_engine() {
+        assert_eq!(
+            DyrsConfig::default().scheduler,
+            SchedulerConfig {
+                engine: SchedEngine::Planned
+            },
+            "the production pass ships by default; Reference is the oracle"
+        );
     }
 
     #[test]

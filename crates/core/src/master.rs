@@ -507,8 +507,8 @@ impl Master {
         self.sync_all_nodes();
     }
 
-    /// Select the scheduler engine and dirty-set thresholds (default:
-    /// the incremental engine with an exact snapshot mirror).
+    /// Select the scheduler engine (default: the production plan walk;
+    /// `Reference` runs the paper's full rescan every pass).
     pub fn set_sched_config(&mut self, cfg: SchedulerConfig) {
         self.sched.set_config(cfg);
     }
@@ -532,8 +532,7 @@ impl Master {
     /// Push the master's live view of `node` — cost estimate, queued
     /// backlog, and candidacy (liveness ∧ detector health) — into the
     /// scheduler's scoring snapshot. Every mutation site calls this, so
-    /// the snapshot trails the live view by at most the configured
-    /// `spb_epsilon` (exact mirror at the default 0).
+    /// the snapshot is an exact mirror of the live view.
     fn sync_node(&mut self, node: NodeId) {
         let i = node.index();
         let s = self.nodes[i];
@@ -627,23 +626,6 @@ impl Master {
     /// auditing).
     pub fn pending_block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.sched.block_ids()
-    }
-
-    /// Number of range shards the pending store is partitioned into.
-    pub fn sched_shard_count(&self) -> usize {
-        self.sched.shard_count()
-    }
-
-    /// Per-shard pending depth, in shard order (feeds the per-shard
-    /// `sched.pending_depth` gauge).
-    pub fn sched_shard_depths(&self) -> Vec<usize> {
-        self.sched.shard_depths()
-    }
-
-    /// Per-shard rescored counts from the most recent retarget pass, in
-    /// shard order (feeds the per-shard `sched.dirty_entries` gauge).
-    pub fn sched_shard_rescored(&self) -> &[u64] {
-        self.sched.shard_rescored()
     }
 
     /// Every (block, hosting node) buffering record, in ascending block
@@ -1102,13 +1084,13 @@ impl Master {
     /// own `spb[n] × bytes` evaluated per candidate, which reduces to the
     /// paper's formula when all blocks are the same size.
     ///
-    /// The heavy lifting lives in [`crate::sched`]: the default
-    /// incremental engine rescoring only entries whose candidate set
-    /// changed since the last pass, with the full-rescan reference engine
-    /// selectable via [`crate::config::SchedulerConfig`]. Both produce
-    /// bit-identical decisions; `bench/algo1_*` validates the §III-D
-    /// scalability claim (50 GB of pending migrations retargeted in under
-    /// a millisecond) for both.
+    /// The heavy lifting lives in [`crate::sched`]: the production pass
+    /// rescores only entries whose candidate set changed since the last
+    /// pass (or runs the full walk once that set is dense), with the
+    /// full-rescan reference engine selectable via
+    /// [`crate::config::SchedulerConfig`]. Both produce bit-identical
+    /// decisions; `bench/algo1_*` validates the §III-D scalability claim
+    /// (50 GB of pending migrations retargeted in under a millisecond).
     ///
     /// Returns how many pending entries the pass rescored vs skipped.
     pub fn retarget(&mut self) -> RetargetStats {
@@ -1630,8 +1612,7 @@ impl simkit::audit::Audit for Master {
     ///   index cannot hold two entries for one block, and
     ///   [`crate::sched`]'s own audit cross-checks every index);
     /// * the scheduler's per-node snapshot mirrors the master's live view
-    ///   (exact when `spb_epsilon` is 0 — with a dampening epsilon the
-    ///   snapshot is allowed to lag by design);
+    ///   exactly;
     /// * per-node state from heartbeats is sane: cost estimates finite and
     ///   positive (§IV-A), queued-byte views finite and non-negative;
     /// * buffering records point at nodes that are up (§III-C2: a dead
@@ -1661,28 +1642,26 @@ impl simkit::audit::Audit for Master {
                 );
             }
         }
-        if self.sched.config().spb_epsilon == 0.0 {
-            for (i, s) in self.nodes.iter().enumerate() {
-                let node = NodeId(i as u32);
-                let (spb, queued, candidate) = self.sched.node_snapshot(i);
-                report.check(
-                    spb == s.spb && queued == s.queued_bytes,
-                    c,
-                    "scheduler load snapshot mirrors the master's live view",
-                    || {
-                        format!(
-                            "node {i}: snapshot ({spb}, {queued}) vs live ({}, {})",
-                            s.spb, s.queued_bytes
-                        )
-                    },
-                );
-                report.check(
-                    candidate == (s.up && self.targetable(node)),
-                    c,
-                    "scheduler candidacy snapshot mirrors health gating",
-                    || format!("node {i}: snapshot candidate = {candidate}"),
-                );
-            }
+        for (i, s) in self.nodes.iter().enumerate() {
+            let node = NodeId(i as u32);
+            let (spb, queued, candidate) = self.sched.node_snapshot(i);
+            report.check(
+                spb == s.spb && queued == s.queued_bytes,
+                c,
+                "scheduler load snapshot mirrors the master's live view",
+                || {
+                    format!(
+                        "node {i}: snapshot ({spb}, {queued}) vs live ({}, {})",
+                        s.spb, s.queued_bytes
+                    )
+                },
+            );
+            report.check(
+                candidate == (s.up && self.targetable(node)),
+                c,
+                "scheduler candidacy snapshot mirrors health gating",
+                || format!("node {i}: snapshot candidate = {candidate}"),
+            );
         }
         self.sched.audit(report);
         for (i, s) in self.nodes.iter().enumerate() {
@@ -2535,7 +2514,7 @@ mod tests {
 
     #[test]
     fn restore_rearms_heartbeat_deadlines() {
-        let mut m = detector_master();
+        let m = detector_master();
         let cp = m.checkpoint();
         let mut m2 = master(MigrationPolicy::Dyrs);
         m2.configure_detector(FailureDetectorConfig::default());

@@ -1,12 +1,13 @@
-//! The three Algorithm 1 engines: the paper-shaped full rescan
-//! ([`SchedEngine::Reference`]), the dirty-set incremental pass
-//! ([`SchedEngine::Incremental`]), and the shard-local incremental pass
-//! with the cascade cost ceiling ([`SchedEngine::Sharded`]).
+//! The Algorithm 1 passes: the production plan walk
+//! ([`SchedEngine::Planned`]) and the paper-shaped full rescan
+//! ([`SchedEngine::Reference`]), which is both the test oracle and the
+//! plan walk's dense fallback.
 //!
-//! All three score exclusively from the scheduler's per-node snapshot
-//! (`snap_spb` / `snap_queued` / `snap_candidate`) with the same winner
-//! rule — the strict minimum over `(est_finish, rank)` with `<` on the
-//! float score — so their decisions are bit-identical, not merely close.
+//! Both score exclusively from the scheduler's per-node snapshot
+//! (`snap_spb` / `snap_queued` / `snap_candidate` / `snap_tiers`) with the
+//! same winner rule — the strict minimum over `(est_finish, rank)` with
+//! `<` on the float score — so their decisions are bit-identical, not
+//! merely close.
 //!
 //! # Equivalence argument
 //!
@@ -15,7 +16,7 @@
 //! `spb[n]·queued[n]` and advanced to the winner's score whenever an
 //! entry picks `n`. An entry's candidate score on `n` therefore depends
 //! only on (a) the snapshot values of `n` and (b) the set of *earlier*
-//! queue entries targeted at `n`. The incremental passes exploit the
+//! queue entries targeted at `n`. The plan walk exploits the
 //! contrapositive: if neither changed since the last pass, the cached
 //! score is still exact.
 //!
@@ -23,49 +24,58 @@
 //!   snapshot change dirties the node, and `replica_idx[node]` contains
 //!   every entry that can see it; new admissions enter via
 //!   `dirty_entries`; a removal of a targeted entry dirties its node.
-//! * Visits happen in ascending queue order, so when entry `e` is scored
-//!   every dirty node's trajectory is live-correct up to `e`'s position,
-//!   and every clean candidate's cached score is exact by induction.
+//! * Visits happen in ascending queue order (the plan is sorted), so when
+//!   entry `e` is scored every dirty node's trajectory is live-correct up
+//!   to `e`'s position, and every clean candidate's cached score is exact
+//!   by induction.
 //! * When a visited entry's winner moves between *clean* nodes, those
-//!   nodes' trajectories change downstream of `e`: the engine
-//!   materializes the node's live trajectory from the `targeted` index
-//!   (the previous targeted entry's cached winner score — an exact cached
-//!   value, never re-derived arithmetic, because `a + b − b ≠ a` in
-//!   floating point) and extends the visit set with the node's replica
-//!   holders after `e`'s position. This is the cascade that keeps the
-//!   greedy chain identical to the reference walk.
+//!   nodes' trajectories change downstream of `e`: the walk materializes
+//!   the node's live trajectory from the `targeted` index (the previous
+//!   targeted entry's cached winner score — an exact cached value, never
+//!   re-derived arithmetic, because `a + b − b ≠ a` in floating point)
+//!   and extends the visit set with the node's replica holders after
+//!   `e`'s position. This is the cascade that keeps the greedy chain
+//!   identical to the reference walk.
 //!
-//! With the store range-sharded, "admission order" means the K-way merge
-//! over per-shard queues, and "position" means `(OrderKey, shard, idx)`.
-//! The sharded pass builds one sorted visit plan per shard up front and
-//! walks the plans through the same merge, spilling cascade extensions
-//! into a side set; the scoring arithmetic is character-for-character the
-//! incremental pass's, so the three engines agree bitwise
-//! (`crates/core/tests/sched_equivalence.rs` proves it per pass).
+//! `crates/core/tests/sched_equivalence.rs` checks the argument per pass.
 //!
-//! # Cascade cost ceiling
+//! # Density ceiling
 //!
-//! A dirty set can degenerate: if a pass's visit plan (or its cascade
-//! growth) exceeds `cascade_ceiling × shard depth` for some shard, the
-//! bookkeeping overhead of incremental scoring outweighs a plain rescan.
-//! The sharded engine then abandons the incremental walk and finishes
-//! with the reference pass. Decisions are unaffected by construction —
-//! every target the abandoned prefix committed is the target the
-//! reference walk recomputes — so the switch costs time, never fidelity.
-//! Each switch bumps the `sched.cascade_ceiling` counter and is flagged
-//! in the pass's provenance via [`RetargetStats::ceiling_hits`].
+//! The plan walk pays per visit for what the full walk gets for free: a
+//! sorted, deduped visit plan, tree lookups for cascade trajectories, and
+//! slab reads in admission order rather than slab order. Once a pass
+//! would visit more than [`CASCADE_CEILING`] of the queue, the sequential
+//! full walk is cheaper, so the pass checks at three prices:
+//!
+//! 1. before building the plan, against the summed dirty index sizes (an
+//!    upper bound on the deduped plan, O(dirty nodes) to compute);
+//! 2. after building it, against the deduped plan;
+//! 3. while walking, against the plan plus its cascade growth.
+//!
+//! Whichever check trips hands the pass to the full walk. Decisions are
+//! unaffected by construction — every target the abandoned prefix
+//! committed is the target the full walk recomputes — so the switch costs
+//! time, never fidelity. Each switch bumps the `sched.cascade_ceiling`
+//! counter and is flagged via [`RetargetStats::ceiling_hits`].
 
-use super::{Entry, OrderKey, RetargetStats, SchedEngine, Scheduler, Slot};
+use super::{Entry, Pos, RetargetStats, SchedEngine, Scheduler, CASCADE_CEILING};
 use dyrs_cluster::NodeId;
 use dyrs_obs::{CandidateScore, ObsHandle, ProvenanceRecord};
 use simkit::SimTime;
 use std::collections::BTreeSet;
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Bound::{Excluded, Unbounded};
 
-/// The winner rule shared by all engines: strictly better score, or an
-/// exact score tie broken by placement rank.
+/// A scored winner: `(score, rank, node, destination tier)`.
+type Winner = (f64, usize, NodeId, u8);
+
+/// The winner rule shared by both passes: strictly better score, or an
+/// exact score tie broken by placement rank (the first replica is the
+/// likeliest data-local reader, so binding there keeps the migrated copy
+/// next to the map task that wants it). The winner is a pure minimum over
+/// `(score, rank)`, so it cannot depend on the order candidates are
+/// scanned in.
 #[inline]
-fn better(candidate: f64, rank: usize, best: Option<(f64, usize, NodeId, u8)>) -> bool {
+fn better(candidate: f64, rank: usize, best: Option<Winner>) -> bool {
     best.is_none_or(|(bf, br, _, _)| candidate < bf || (candidate == bf && rank < br))
 }
 
@@ -95,10 +105,10 @@ fn tier_min(tiers: &[(u8, f64)], base: f64, work: f64) -> (f64, u8) {
     (best, best_tier)
 }
 
-/// Touch-sweep block size for the sharded walk: how many upcoming
-/// planned slots get streamed into cache ahead of the scoring cursor.
-/// Sized so a block's entry lines and side buffers (~a few hundred bytes
-/// per slot) sit comfortably in L2 until the cursor consumes them.
+/// Touch-sweep block size for the plan walk: how many upcoming planned
+/// slots get streamed into cache ahead of the scoring cursor. Sized so a
+/// block's entry lines and side buffers (~a few hundred bytes per slot)
+/// sit comfortably in L2 until the cursor consumes them.
 const TOUCH_BLOCK: usize = 256;
 
 /// Touch one planned slot's slab lines so they are in flight before the
@@ -107,9 +117,9 @@ const TOUCH_BLOCK: usize = 256;
 /// prefetch intrinsics; called from a tight sweep loop the loads
 /// pipeline across iterations and run at memory bandwidth.
 #[inline]
-fn touch_entry(shard: &super::shard::Shard, idx: usize) {
+fn touch_entry(slab: &[Option<Entry>], idx: usize) {
     use std::hint::black_box;
-    let Some(Some(e)) = shard.raw_pending.get(idx) else {
+    let Some(Some(e)) = slab.get(idx) else {
         return;
     };
     // A load per region of the entry the visit will read (field order is
@@ -126,14 +136,51 @@ fn touch_entry(shard: &super::shard::Shard, idx: usize) {
 /// the buffer pointers then come from cache and the buffer misses
 /// themselves pipeline, instead of serializing behind the slab miss.
 #[inline]
-fn touch_buffers(shard: &super::shard::Shard, idx: usize) {
+fn touch_buffers(slab: &[Option<Entry>], idx: usize) {
     use std::hint::black_box;
-    let Some(Some(e)) = shard.raw_pending.get(idx) else {
+    let Some(Some(e)) = slab.get(idx) else {
         return;
     };
     black_box(e.scores.first().copied());
     black_box(e.tier_of.first().copied());
     black_box(e.migration.replicas.first().copied());
+}
+
+/// Commit a scored entry's winner: update the target, move the entry
+/// between per-node bind queues, cache the winner score, and emit the
+/// span event when the target changed.
+fn commit(
+    entry: &mut Entry,
+    targeted: &mut [BTreeSet<Pos>],
+    pos: Pos,
+    best: Option<Winner>,
+    obs: &ObsHandle,
+) {
+    let old_target = entry.target;
+    match best {
+        Some((f, _, node, tier)) => {
+            entry.target = Some(node);
+            entry.target_tier = tier;
+            entry.winner_score = f;
+            if old_target != Some(node) {
+                obs.migration_targeted(entry.migration.id.0, node);
+            }
+        }
+        None => {
+            entry.target = None; // all replicas down right now
+            entry.target_tier = 0;
+            entry.winner_score = f64::INFINITY;
+        }
+    }
+    if entry.target != old_target {
+        if let Some(t) = old_target {
+            targeted[t.index()].remove(&pos);
+        }
+        if let Some(t) = entry.target {
+            targeted[t.index()].insert(pos);
+        }
+    }
+    entry.cache_valid = true;
 }
 
 impl Scheduler {
@@ -142,42 +189,20 @@ impl Scheduler {
     /// changed and a provenance batch covering the rescored entries.
     pub(crate) fn retarget(&mut self, obs: &ObsHandle) -> RetargetStats {
         match self.cfg.engine {
+            SchedEngine::Planned => self.pass_planned(obs),
             SchedEngine::Reference => self.pass_reference(obs),
-            SchedEngine::Incremental => self.pass_incremental(obs),
-            SchedEngine::Sharded => self.pass_sharded(obs),
         }
     }
 
-    /// A candidate node's finish-time trajectory just *before* global
-    /// queue position `pos`: the cached winner score of the last earlier
-    /// entry targeted at the node, or the snapshot base when none is.
-    /// Reading the cached value back (rather than recomputing) is what
-    /// keeps the incremental cascade bit-identical to the reference walk.
-    ///
-    /// "Earlier" is in the merged `(OrderKey, shard, idx)` order, so each
-    /// shard's bind queue contributes its last entry below a shard-shaped
-    /// bound: everything at a strictly smaller key, plus — for same-key
-    /// ties — entries in lower shards (any idx) and same-shard entries at
-    /// a smaller idx. The global predecessor is the max candidate.
-    fn finish_before(&self, node: usize, pos: (OrderKey, Slot)) -> f64 {
-        let (key, (ps, pi)) = pos;
-        let mut prev: Option<(OrderKey, Slot)> = None;
-        for (s, shard) in self.raw_shards.iter().enumerate() {
-            let upper: Bound = match s.cmp(&ps) {
-                std::cmp::Ordering::Less => (key, usize::MAX),
-                std::cmp::Ordering::Equal => (key, pi),
-                std::cmp::Ordering::Greater => (key, 0),
-            };
-            if let Some(&(k, i)) = shard.targeted[node].range(..upper).next_back() {
-                let cand = (k, (s, i));
-                if prev.is_none_or(|p| cand > p) {
-                    prev = Some(cand);
-                }
-            }
-        }
-        match prev {
-            Some((_, (s, i))) => {
-                self.raw_shards[s].raw_pending[i]
+    /// A candidate node's finish-time trajectory just *before* queue
+    /// position `pos`: the cached winner score of the last earlier entry
+    /// targeted at the node, or the snapshot base when none is. Reading
+    /// the cached value back (rather than recomputing) is what keeps the
+    /// cascade bit-identical to the reference walk.
+    fn finish_before(&self, node: usize, pos: Pos) -> f64 {
+        match self.targeted[node].range(..pos).next_back() {
+            Some(&(_, idx)) => {
+                self.raw_pending[idx]
                     .as_ref()
                     .expect("targeted slots are live")
                     .winner_score
@@ -186,123 +211,60 @@ impl Scheduler {
         }
     }
 
-    /// Every entry holding a replica on `node` at a global position
-    /// strictly *after* `pos`, pushed into `out` (the cascade extension).
-    fn for_replicas_after(
-        &self,
-        node: usize,
-        pos: (OrderKey, Slot),
-        out: &mut BTreeSet<(OrderKey, Slot)>,
-    ) {
-        let (key, (ps, pi)) = pos;
-        for (s, shard) in self.raw_shards.iter().enumerate() {
-            let lower = match s.cmp(&ps) {
-                // lower shard wins same-key ties: only strictly larger keys
-                std::cmp::Ordering::Less => Excluded((key, usize::MAX)),
-                std::cmp::Ordering::Equal => Excluded((key, pi)),
-                // higher shard loses same-key ties: same key already after
-                std::cmp::Ordering::Greater => Included((key, 0)),
-            };
-            out.extend(
-                shard.replica_idx[node]
-                    .range((lower, Unbounded))
-                    .map(|&(k, i)| (k, (s, i))),
-            );
-        }
-    }
-
     /// The paper's full rescan (§III-A2 / Algorithm 1): greedily set each
     /// pending block's target to the replica expected to finish earliest
-    /// given snapshot cost and backlog, walking the merged queue in
-    /// admission order and charging each winner's score to its node's
-    /// trajectory.
+    /// given snapshot cost and backlog, walking the queue in admission
+    /// order and charging each winner's score to its node's trajectory.
+    /// Entries are scored in place in their slab slots.
     fn pass_reference(&mut self, obs: &ObsHandle) -> RetargetStats {
-        let mut finish: Vec<f64> = (0..self.snap_spb.len())
-            .map(|i| self.snap_spb[i] * self.snap_queued[i])
+        let mut finish: Vec<f64> = self
+            .snap_spb
+            .iter()
+            .zip(&self.snap_queued)
+            .map(|(spb, queued)| spb * queued)
             .collect();
-        // With one shard the merge cursor only adds per-element peek
-        // machinery on top of plain set iteration; collect directly so the
-        // monolithic layout keeps its pre-shard constant factors.
-        let order: Vec<(OrderKey, Slot)> = if self.raw_shards.len() == 1 {
-            self.raw_shards[0]
-                .queue
-                .iter()
-                .map(|&(k, i)| (k, (0, i)))
-                .collect()
-        } else {
-            super::merge::merged_queue(&self.raw_shards).collect()
-        };
-        let total = order.len() as u64;
+        let total = self.queue.len() as u64;
         // Decision provenance is recording-only; skip all of it (including
-        // the per-entry score vectors) when nothing is listening — this
-        // loop is the `bench/algo1` hot path.
+        // the per-entry candidate vectors) when nothing is listening.
         let recording = obs.is_enabled();
         let mut provenance: Vec<ProvenanceRecord> = Vec::new();
-        let mut candidates: Vec<(NodeId, usize)> = Vec::new();
-        for r in &mut self.last_shard_rescored {
-            *r = 0;
+        if recording {
+            provenance.reserve_exact(self.queue.len());
         }
-        for (key, (sno, idx)) in order {
-            self.last_shard_rescored[sno] += 1;
-            let mut entry = self.raw_shards[sno].raw_pending[idx]
-                .take()
+        for &pos in &self.queue {
+            let entry = self.raw_pending[pos.1]
+                .as_mut()
                 .expect("queued slots are live");
-            // Candidates are scanned in NodeId order, but equal finish
-            // times tie-break on *placement rank* (the replica's position
-            // in the namenode's placement order): the first replica is the
-            // likeliest data-local reader, so binding there keeps the
-            // migrated copy next to the map task that wants it. The winner
-            // is a pure minimum over (finish, rank), so the result cannot
-            // depend on the order this loop happens to visit candidates.
-            candidates.clear();
-            candidates.extend(
-                entry
-                    .migration
-                    .replicas
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, loc)| self.snap_candidate[loc.index()])
-                    .map(|(rank, loc)| (loc, rank)),
-            );
-            candidates.sort_unstable();
             let bytes = entry.migration.bytes as f64;
-            let mut best: Option<(f64, usize, NodeId, u8)> = None;
-            // Rewrite the entry's score buffers in place (they are always
-            // replica-aligned): non-candidate ranks reset to ∞, candidate
-            // ranks overwritten below — the same final values the old
-            // fresh-vector swap produced, minus two allocations per entry.
-            for r in 0..entry.scores.len() {
-                entry.scores[r] = f64::INFINITY;
-                entry.tier_of[r] = 0;
-            }
-            for &(loc, rank) in &candidates {
+            let mut best: Option<Winner> = None;
+            for (rank, &loc) in entry.migration.replicas.iter().enumerate() {
                 let i = loc.index();
-                let (candidate, tier) =
+                if !self.snap_candidate[i] {
+                    entry.scores[rank] = f64::INFINITY;
+                    entry.tier_of[rank] = 0;
+                    continue;
+                }
+                let (score, tier) =
                     tier_min(&self.snap_tiers[i], finish[i], self.snap_spb[i] * bytes);
-                entry.scores[rank] = candidate;
+                entry.scores[rank] = score;
                 entry.tier_of[rank] = tier;
-                if better(candidate, rank, best) {
-                    best = Some((candidate, rank, loc, tier));
+                if better(score, rank, best) {
+                    best = Some((score, rank, loc, tier));
                 }
             }
-            self.apply_winner(&mut entry, key, (sno, idx), best, obs);
+            commit(entry, &mut self.targeted, pos, best, obs);
             // Charge the winner to its node's trajectory: later entries
             // queue behind it.
             if let Some((f, _, w, _)) = best {
                 finish[w.index()] = f;
             }
-            entry.cache_valid = true;
             if recording {
-                provenance.push(provenance_record(&entry));
+                provenance.push(provenance_record(entry));
             }
-            self.raw_shards[sno].raw_pending[idx] = Some(entry);
         }
         // A full pass leaves nothing stale.
         self.dirty_nodes.clear();
-        for shard in &mut self.raw_shards {
-            shard.dirty_entries.clear();
-        }
+        self.dirty_entries.clear();
         if recording {
             obs.retarget_pass(provenance, total, 0);
         }
@@ -313,272 +275,94 @@ impl Scheduler {
         }
     }
 
-    /// The incremental pass: rescore only entries whose decision inputs
+    /// The production pass: rescore only entries whose decision inputs
     /// changed since the last pass (dirty nodes' replica holders, new
-    /// admissions, and cascade-affected entries), in admission order.
+    /// admissions, and cascade-affected entries), in admission order —
+    /// unless that visit set is dense, in which case the full walk runs
+    /// (see the module docs on the density ceiling).
     ///
-    /// This is the monolithic baseline: one global visit set, fresh score
-    /// vectors per entry. The sharded pass below does the same walk with
-    /// per-shard plans and buffer reuse; this one is kept plain so the
-    /// 1M-block benches compare the data-structure work honestly.
-    fn pass_incremental(&mut self, obs: &ObsHandle) -> RetargetStats {
-        let total = self.len() as u64;
+    /// * The visit plan is a sorted `Vec` (dirty entries plus dirty
+    ///   nodes' replica holders, deduped), so the walk is a pointer bump
+    ///   that can stream slab lines ahead of the cursor.
+    /// * Cascade extensions go to a (usually tiny) side set, consulted
+    ///   alongside the plan head.
+    /// * Entry score buffers are rewritten in place; the steady-state hot
+    ///   path allocates nothing per entry.
+    fn pass_planned(&mut self, obs: &ObsHandle) -> RetargetStats {
+        let total = self.queue.len() as u64;
         let recording = obs.is_enabled();
-        if self.steady_state() {
+        if self.dirty_nodes.is_empty() && self.dirty_entries.is_empty() {
             // Steady state: nothing moved, every cached decision stands.
             if recording {
                 obs.retarget_pass(Vec::new(), 0, total);
-            }
-            for r in &mut self.last_shard_rescored {
-                *r = 0;
             }
             return RetargetStats {
                 rescored: 0,
                 skipped: total,
                 ceiling_hits: 0,
             };
+        }
+        let dense = |visits: usize| visits as f64 > CASCADE_CEILING * total as f64;
+        // Ceiling check 1: the summed dirty index sizes bound the deduped
+        // plan from above, and every index length is O(1). At that density
+        // the plan sort alone costs more than the full walk, so skip it.
+        let bound = self.dirty_entries.len()
+            + self
+                .dirty_nodes
+                .iter()
+                .map(|&d| self.replica_idx[d].len())
+                .sum::<usize>();
+        if dense(bound) {
+            return self.finish_at_ceiling(obs);
+        }
+        // The visit plan, sorted by (OrderKey, slot). Every dirty node's
+        // replica set is drained one element per turn, round-robin: each
+        // set's iteration is a serial pointer chase through scattered tree
+        // leaves, but the chases are mutually independent, so interleaving
+        // them keeps many leaf misses in flight. The order they land in
+        // does not matter; the plan is sorted below.
+        let mut plan: Vec<Pos> = Vec::with_capacity(bound);
+        plan.extend(self.dirty_entries.iter().copied());
+        let mut iters: Vec<_> = self
+            .dirty_nodes
+            .iter()
+            .map(|&d| self.replica_idx[d].iter())
+            .collect();
+        loop {
+            let mut any = false;
+            for it in &mut iters {
+                if let Some(&x) = it.next() {
+                    plan.push(x);
+                    any = true;
+                }
+            }
+            if !any {
+                break;
+            }
+        }
+        plan.sort_unstable();
+        plan.dedup();
+        // Ceiling check 2: the bound double-counts entries with several
+        // dirty replicas; the deduped plan is exact.
+        if dense(plan.len()) {
+            return self.finish_at_ceiling(obs);
         }
         // Live finish-time trajectories, maintained only for nodes whose
         // downstream scores are in motion; `None` means the node's cached
         // trajectory is still exact and entries read their cached scores.
         let mut finish: Vec<Option<f64>> = vec![None; self.snap_spb.len()];
-        let mut visit: BTreeSet<(OrderKey, Slot)> = BTreeSet::new();
-        for (s, shard) in self.raw_shards.iter().enumerate() {
-            visit.extend(shard.dirty_entries.iter().map(|&(k, i)| (k, (s, i))));
-        }
         for &d in &self.dirty_nodes {
             finish[d] = Some(self.snap_spb[d] * self.snap_queued[d]);
-            for (s, shard) in self.raw_shards.iter().enumerate() {
-                visit.extend(shard.replica_idx[d].iter().map(|&(k, i)| (k, (s, i))));
-            }
         }
+        let mut extra: BTreeSet<Pos> = BTreeSet::new();
+        // Cascade growth, for the mid-pass ceiling check.
+        let mut grown = 0usize;
         let mut rescored = 0u64;
-        for r in &mut self.last_shard_rescored {
-            *r = 0;
-        }
         let mut provenance: Vec<ProvenanceRecord> = Vec::new();
-        while let Some((key, slot)) = visit.pop_first() {
-            rescored += 1;
-            self.last_shard_rescored[slot.0] += 1;
-            let mut entry = self.raw_shards[slot.0].raw_pending[slot.1]
-                .take()
-                .expect("visited slots are live");
-            let bytes = entry.migration.bytes as f64;
-            let had_cache = entry.cache_valid;
-            let mut cache = vec![f64::INFINITY; entry.migration.replicas.len()];
-            let mut tier_cache = vec![0u8; entry.migration.replicas.len()];
-            let mut best: Option<(f64, usize, NodeId, u8)> = None;
-            for (rank, &loc) in entry.migration.replicas.iter().enumerate() {
-                let i = loc.index();
-                if !self.snap_candidate[i] {
-                    continue;
-                }
-                let (score, tier) = match finish[i] {
-                    // Node in motion: live trajectory, like the reference.
-                    Some(f) => tier_min(&self.snap_tiers[i], f, self.snap_spb[i] * bytes),
-                    None => {
-                        if had_cache && entry.scores[rank].is_finite() {
-                            // Clean node: the cached tier minimum is exact
-                            // (a tier-set change dirties the node, so a
-                            // clean node's eligible tiers are unchanged).
-                            (entry.scores[rank], entry.tier_of[rank])
-                        } else {
-                            // Never scored here (new admission, or a
-                            // candidacy flip that dirtied the node in any
-                            // case): materialize from the targeted index.
-                            tier_min(
-                                &self.snap_tiers[i],
-                                self.finish_before(i, (key, slot)),
-                                self.snap_spb[i] * bytes,
-                            )
-                        }
-                    }
-                };
-                cache[rank] = score;
-                tier_cache[rank] = tier;
-                if better(score, rank, best) {
-                    best = Some((score, rank, loc, tier));
-                }
-            }
-            let old_target = entry.target;
-            let new_target = best.map(|(_, _, n, _)| n);
-            // A winner moving on or off a *clean* node changes that node's
-            // trajectory for every later queue position: switch the node to
-            // live accounting (seeded from the exact cached state just
-            // before this position) and cascade to its later replica
-            // holders.
-            if old_target != new_target {
-                for moved in [old_target, new_target].into_iter().flatten() {
-                    let i = moved.index();
-                    if finish[i].is_none() {
-                        finish[i] = Some(self.finish_before(i, (key, slot)));
-                        self.for_replicas_after(i, (key, slot), &mut visit);
-                    }
-                }
-            }
-            self.apply_winner(&mut entry, key, slot, best, obs);
-            // Charge the winner to its node's live trajectory (the clean
-            // same-winner case needs no update: the cached chain already
-            // carries this exact score forward).
-            if let Some((f, _, w, _)) = best {
-                if finish[w.index()].is_some() {
-                    finish[w.index()] = Some(f);
-                }
-            }
-            entry.scores = cache;
-            entry.tier_of = tier_cache;
-            entry.cache_valid = true;
-            if recording {
-                provenance.push(provenance_record(&entry));
-            }
-            self.raw_shards[slot.0].raw_pending[slot.1] = Some(entry);
-        }
-        self.dirty_nodes.clear();
-        for shard in &mut self.raw_shards {
-            shard.dirty_entries.clear();
-        }
-        let skipped = total - rescored;
         if recording {
-            obs.retarget_pass(provenance, rescored, skipped);
+            provenance.reserve(plan.len());
         }
-        RetargetStats {
-            rescored,
-            skipped,
-            ceiling_hits: 0,
-        }
-    }
-
-    /// The shard-local incremental pass. Same visits, same arithmetic,
-    /// same decisions as [`Self::pass_incremental`] — proven per pass by
-    /// the equivalence suite — but organized for the 1M-entry regime:
-    ///
-    /// * the visit plan is built per shard as a sorted `Vec` (dirty
-    ///   entries plus dirty nodes' replica holders, deduped), so the walk
-    ///   is S pointer-bumps merged on the fly instead of a million-node
-    ///   global BTree churn;
-    /// * cascade extensions go to a (usually tiny) side set, consulted
-    ///   alongside the plan heads;
-    /// * entry score buffers are rewritten in place — the steady-state
-    ///   hot path allocates nothing per entry;
-    /// * the cascade cost ceiling bails to the reference rescan when the
-    ///   plan stops being sparse (see module docs).
-    fn pass_sharded(&mut self, obs: &ObsHandle) -> RetargetStats {
-        let total = self.len() as u64;
-        let recording = obs.is_enabled();
-        if self.steady_state() {
-            if recording {
-                obs.retarget_pass(Vec::new(), 0, total);
-            }
-            for r in &mut self.last_shard_rescored {
-                *r = 0;
-            }
-            return RetargetStats {
-                rescored: 0,
-                skipped: total,
-                ceiling_hits: 0,
-            };
-        }
-        let ceiling = self.cfg.cascade_ceiling;
-        let over = |visits: usize, depth: usize| {
-            ceiling > 0.0 && depth > 0 && visits as f64 > ceiling * depth as f64
-        };
-        let nshards = self.raw_shards.len();
-        // Cascade cost ceiling, bound check: the sum of the dirty index
-        // sizes bounds the deduped visit set from above, and every index
-        // length is O(1). When even the bound says a shard's pass visits
-        // more than `ceiling × depth`, skip plan construction outright —
-        // at that density the plan sort alone costs more than the rescan's
-        // sequential walk, which is the exact waste the ceiling exists to
-        // cap. (The bound counts an entry once per dirty replica, so this
-        // trips a little earlier than the deduped plan would; the fallback
-        // recomputes identical decisions either way.)
-        for shard in &self.raw_shards {
-            let bound = shard.dirty_entries.len()
-                + self
-                    .dirty_nodes
-                    .iter()
-                    .map(|&d| shard.replica_idx[d].len())
-                    .sum::<usize>();
-            if over(bound, shard.len()) {
-                return self.finish_at_ceiling(obs);
-            }
-        }
-        // Per-shard visit plans, each already sorted by (OrderKey, idx):
-        // dirty entries and each dirty node's replica holders are sorted
-        // sets, so a merge-by-sort + dedup gives the shard's ascending
-        // visit list without touching clean entries.
-        let mut plan: Vec<Vec<(OrderKey, usize)>> = Vec::with_capacity(nshards);
-        for shard in &self.raw_shards {
-            let mut p: Vec<(OrderKey, usize)> = shard.dirty_entries.iter().copied().collect();
-            // Drain every dirty node's replica set one element per turn,
-            // round-robin: each set's iteration is a serial pointer chase
-            // through scattered tree leaves, but the chases are mutually
-            // independent, so interleaving them keeps many leaf misses in
-            // flight instead of paying them one after another. Order does
-            // not matter here — the plan is sorted below anyway.
-            let mut iters: Vec<_> = self
-                .dirty_nodes
-                .iter()
-                .map(|&d| shard.replica_idx[d].iter())
-                .collect();
-            loop {
-                let mut any = false;
-                for it in &mut iters {
-                    if let Some(&x) = it.next() {
-                        p.push(x);
-                        any = true;
-                    }
-                }
-                if !any {
-                    break;
-                }
-            }
-            p.sort_unstable();
-            p.dedup();
-            plan.push(p);
-        }
-        // Cascade cost ceiling, exact upfront check over the deduped plans
-        // (the bound check above caps the worst case; this one catches
-        // passes the dedup still left too dense).
-        if (0..nshards).any(|s| over(plan[s].len(), self.raw_shards[s].len())) {
-            return self.finish_at_ceiling(obs);
-        }
-        let mut finish: Vec<Option<f64>> = vec![None; self.snap_spb.len()];
-        for &d in &self.dirty_nodes {
-            finish[d] = Some(self.snap_spb[d] * self.snap_queued[d]);
-        }
-        // Flatten the per-shard plans into the global visit order once, up
-        // front. The merge touches only the plan vectors (never the slab),
-        // and a flat order is what lets the walk below see its own future
-        // and stream entry memory ahead of the cursor.
-        let planned: usize = plan.iter().map(|p| p.len()).sum();
-        let mut order: Vec<(OrderKey, Slot)> = Vec::with_capacity(planned);
-        {
-            let mut pos = vec![0usize; nshards];
-            loop {
-                let mut head: Option<(OrderKey, Slot)> = None;
-                for s in 0..nshards {
-                    if let Some(&(k, i)) = plan[s].get(pos[s]) {
-                        let cand = (k, (s, i));
-                        if head.is_none_or(|h| cand < h) {
-                            head = Some(cand);
-                        }
-                    }
-                }
-                let Some((k, slot)) = head else { break };
-                pos[slot.0] += 1;
-                order.push((k, slot));
-            }
-        }
-        let mut extra: BTreeSet<(OrderKey, Slot)> = BTreeSet::new();
-        // Cascade growth per shard, for the mid-pass ceiling check.
-        let mut touched = vec![0usize; nshards];
-        let mut rescored = 0u64;
-        for r in &mut self.last_shard_rescored {
-            *r = 0;
-        }
-        let mut provenance: Vec<ProvenanceRecord> = Vec::new();
-        // Cursor into `order`, and the touch-sweep frontier. The sweep
+        // Cursor into `plan`, and the touch-sweep frontier. The sweep
         // streams the next block of planned slots through a tight,
         // dependency-free loop so the core keeps many cache misses in
         // flight at once; the walk then scores against L2-warm lines.
@@ -586,89 +370,78 @@ impl Scheduler {
         // inside the walk (the per-visit scoring work fills the reorder
         // window, collapsing the overlap to a couple of loads in flight),
         // and sweeping the whole plan up front (a large plan's early lines
-        // are evicted again before the cursor reaches them). The blocked
-        // sweep is the structural payoff of a flat planned order — a
-        // BTree pop loop has no future slot list to stream.
-        let mut oi = 0usize;
+        // are evicted again before the cursor reaches them).
+        let mut pi = 0usize;
         let mut swept = 0usize;
         // Reusable per-visit score scratch (rank → (score, tier)).
         let mut scratch: Vec<(f64, u8)> = Vec::new();
         loop {
-            if swept < order.len() && swept < oi + TOUCH_BLOCK / 2 {
-                let hi = (oi + TOUCH_BLOCK).min(order.len());
-                for &(_, (s, i)) in &order[swept..hi] {
-                    touch_entry(&self.raw_shards[s], i);
+            if swept < plan.len() && swept < pi + TOUCH_BLOCK / 2 {
+                let hi = (pi + TOUCH_BLOCK).min(plan.len());
+                for &(_, idx) in &plan[swept..hi] {
+                    touch_entry(&self.raw_pending, idx);
                 }
-                for &(_, (s, i)) in &order[swept..hi] {
-                    touch_buffers(&self.raw_shards[s], i);
+                for &(_, idx) in &plan[swept..hi] {
+                    touch_buffers(&self.raw_pending, idx);
                 }
                 swept = hi;
             }
-            // Visit the global minimum across the planned order and the
-            // cascade side set, advancing every source holding it (a
-            // cascade can re-add a planned entry; it must still be
-            // visited exactly once).
-            let oh = order.get(oi).copied();
-            let eh = extra.first().copied();
-            let (key, slot) = match (oh, eh) {
+            // Visit the minimum of the plan head and the cascade side
+            // set, advancing both when they hold the same entry (a cascade
+            // can re-add a planned entry; it is still visited once).
+            let pos = match (plan.get(pi).copied(), extra.first().copied()) {
                 (None, None) => break,
                 (Some(a), None) => {
-                    oi += 1;
+                    pi += 1;
                     a
                 }
-                (None, Some(b)) => {
+                (Some(a), Some(b)) if a <= b => {
+                    pi += 1;
+                    if a == b {
+                        extra.pop_first();
+                    }
+                    a
+                }
+                (_, Some(b)) => {
                     extra.pop_first();
                     b
                 }
-                (Some(a), Some(b)) => {
-                    if a <= b {
-                        oi += 1;
-                        if a == b {
-                            extra.pop_first();
-                        }
-                        a
-                    } else {
-                        extra.pop_first();
-                        b
-                    }
-                }
             };
             rescored += 1;
-            self.last_shard_rescored[slot.0] += 1;
-            // Phase 1 — score with shared borrows only (the entry stays in
-            // its slab slot; the monolithic pass moves it out and back,
-            // two full-entry copies per visit this pass does not pay).
-            // Scores land in a reusable scratch vector, rank by rank, with
-            // non-candidate ranks explicitly reset to ∞ — exactly the
-            // buffers the fresh-vector engines would have built.
-            let entry = self.raw_shards[slot.0].raw_pending[slot.1]
+            // Phase 1 — score with shared borrows only, so the cascade can
+            // read other entries' cached trajectories. Scores land in the
+            // scratch vector rank by rank, non-candidates as ∞.
+            let entry = self.raw_pending[pos.1]
                 .as_ref()
                 .expect("visited slots are live");
             let bytes = entry.migration.bytes as f64;
             let had_cache = entry.cache_valid;
             let old_target = entry.target;
-            let mut best: Option<(f64, usize, NodeId, u8)> = None;
+            let mut best: Option<Winner> = None;
             scratch.clear();
-            for rank in 0..entry.migration.replicas.len() {
-                let loc = entry.migration.replicas[rank];
+            for (rank, &loc) in entry.migration.replicas.iter().enumerate() {
                 let i = loc.index();
                 if !self.snap_candidate[i] {
                     scratch.push((f64::INFINITY, 0));
                     continue;
                 }
                 let (score, tier) = match finish[i] {
+                    // Node in motion: live trajectory, like the reference.
                     Some(f) => tier_min(&self.snap_tiers[i], f, self.snap_spb[i] * bytes),
-                    None => {
-                        if had_cache && entry.scores[rank].is_finite() {
-                            (entry.scores[rank], entry.tier_of[rank])
-                        } else {
-                            tier_min(
-                                &self.snap_tiers[i],
-                                self.finish_before(i, (key, slot)),
-                                self.snap_spb[i] * bytes,
-                            )
-                        }
+                    // Clean node: the cached tier minimum is exact (a
+                    // tier-set change dirties the node, so a clean node's
+                    // eligible tiers are unchanged).
+                    None if had_cache && entry.scores[rank].is_finite() => {
+                        (entry.scores[rank], entry.tier_of[rank])
                     }
+                    // Never scored here (new admission, or a candidacy
+                    // flip that dirtied the node in any case): materialize
+                    // from the targeted index.
+                    None => tier_min(
+                        &self.snap_tiers[i],
+                        self.finish_before(i, pos),
+                        self.snap_spb[i] * bytes,
+                    ),
                 };
                 scratch.push((score, tier));
                 if better(score, rank, best) {
@@ -676,75 +449,56 @@ impl Scheduler {
                 }
             }
             let new_target = best.map(|(_, _, n, _)| n);
+            // A winner moving on or off a *clean* node changes that node's
+            // trajectory for every later queue position: switch the node
+            // to live accounting (seeded from the exact cached state just
+            // before this position) and cascade to its later replica
+            // holders.
             if old_target != new_target {
                 for moved in [old_target, new_target].into_iter().flatten() {
                     let i = moved.index();
                     if finish[i].is_none() {
-                        finish[i] = Some(self.finish_before(i, (key, slot)));
+                        finish[i] = Some(self.finish_before(i, pos));
                         let before = extra.len();
-                        self.for_replicas_after(i, (key, slot), &mut extra);
-                        touched[slot.0] += extra.len() - before;
+                        extra.extend(
+                            self.replica_idx[i]
+                                .range((Excluded(pos), Unbounded))
+                                .copied(),
+                        );
+                        grown += extra.len() - before;
                     }
                 }
             }
-            // Phase 2 — commit: write the scratch scores into the entry's
-            // buffers and apply the winner, splitting the shard borrow so
-            // the bind-queue update lands beside the in-place entry write.
-            let shard = &mut self.raw_shards[slot.0];
-            let entry = shard.raw_pending[slot.1]
+            // Phase 2 — commit the scratch scores and the winner in place.
+            let entry = self.raw_pending[pos.1]
                 .as_mut()
                 .expect("visited slots are live");
             for (rank, &(score, tier)) in scratch.iter().enumerate() {
                 entry.scores[rank] = score;
                 entry.tier_of[rank] = tier;
             }
-            match best {
-                Some((f, _, node, tier)) => {
-                    entry.target = Some(node);
-                    entry.target_tier = tier;
-                    entry.winner_score = f;
-                    if old_target != Some(node) {
-                        obs.migration_targeted(entry.migration.id.0, node);
-                    }
-                }
-                None => {
-                    entry.target = None; // all replicas down right now
-                    entry.target_tier = 0;
-                    entry.winner_score = f64::INFINITY;
-                }
-            }
-            entry.cache_valid = true;
+            commit(entry, &mut self.targeted, pos, best, obs);
             if recording {
                 provenance.push(provenance_record(entry));
             }
-            if new_target != old_target {
-                if let Some(t) = old_target {
-                    shard.targeted[t.index()].remove(&(key, slot.1));
-                }
-                if let Some(t) = new_target {
-                    shard.targeted[t.index()].insert((key, slot.1));
-                }
-            }
+            // Charge the winner to its node's live trajectory (the clean
+            // same-winner case needs no update: the cached chain already
+            // carries this exact score forward).
             if let Some((f, _, w, _)) = best {
-                if finish[w.index()].is_some() {
-                    finish[w.index()] = Some(f);
+                if let Some(live) = &mut finish[w.index()] {
+                    *live = f;
                 }
             }
-            // Mid-pass ceiling check: a cascade that keeps fanning out can
-            // blow past the upfront estimate. Decisions committed so far
-            // are final-correct, so switching to the rescan mid-walk is
-            // safe (it recomputes them identically).
-            if over(
-                plan[slot.0].len() + touched[slot.0],
-                self.raw_shards[slot.0].len(),
-            ) {
+            // Ceiling check 3: a cascade that keeps fanning out can blow
+            // past the plan. Decisions committed so far are final-correct,
+            // so switching to the full walk mid-pass is safe (it
+            // recomputes them identically).
+            if dense(plan.len() + grown) {
                 return self.finish_at_ceiling(obs);
             }
         }
         self.dirty_nodes.clear();
-        for shard in &mut self.raw_shards {
-            shard.dirty_entries.clear();
-        }
+        self.dirty_entries.clear();
         let skipped = total - rescored;
         if recording {
             obs.retarget_pass(provenance, rescored, skipped);
@@ -756,93 +510,47 @@ impl Scheduler {
         }
     }
 
-    /// Nothing changed since the last pass anywhere.
-    fn steady_state(&self) -> bool {
-        self.dirty_nodes.is_empty() && self.raw_shards.iter().all(|s| s.dirty_entries.is_empty())
-    }
-
-    /// Abandon an over-ceiling incremental walk and finish the pass with
-    /// the reference rescan. Any targets the abandoned prefix committed
-    /// are recomputed identically (so no duplicate `migration_targeted`
-    /// events fire — the winners already match); partial provenance is
-    /// discarded in favor of the rescan's complete batch.
+    /// Hand a dense pass to the full walk. Any targets an abandoned plan
+    /// walk committed are recomputed identically (so no duplicate
+    /// `migration_targeted` events fire — the winners already match);
+    /// partial provenance is discarded in favor of the full batch.
     fn finish_at_ceiling(&mut self, obs: &ObsHandle) -> RetargetStats {
         obs.counter_add("sched.cascade_ceiling", 1);
         let mut stats = self.pass_reference(obs);
         stats.ceiling_hits = 1;
         stats
     }
-
-    /// Commit a scored entry's winner: update the target, maintain the
-    /// per-node bind queues, cache the winner score, and emit the span
-    /// event when the target changed.
-    fn apply_winner(
-        &mut self,
-        entry: &mut Entry,
-        key: OrderKey,
-        slot: Slot,
-        best: Option<(f64, usize, NodeId, u8)>,
-        obs: &ObsHandle,
-    ) {
-        let old_target = entry.target;
-        match best {
-            Some((f, _, node, tier)) => {
-                entry.target = Some(node);
-                entry.target_tier = tier;
-                entry.winner_score = f;
-                if old_target != Some(node) {
-                    obs.migration_targeted(entry.migration.id.0, node);
-                }
-            }
-            None => {
-                entry.target = None; // all replicas down right now
-                entry.target_tier = 0;
-                entry.winner_score = f64::INFINITY;
-            }
-        }
-        if entry.target != old_target {
-            let shard = &mut self.raw_shards[slot.0];
-            if let Some(t) = old_target {
-                shard.targeted[t.index()].remove(&(key, slot.1));
-            }
-            if let Some(t) = entry.target {
-                shard.targeted[t.index()].insert((key, slot.1));
-            }
-        }
-    }
 }
-
-/// Per-shard upper bound for "strictly before this global position".
-type Bound = (OrderKey, usize);
 
 /// A provenance record for one scored entry, with candidates in
 /// `(node, rank)` order. Pass index, timestamps, and the pass-level
 /// rescored/skipped counts are stamped by the recorder.
 fn provenance_record(entry: &Entry) -> ProvenanceRecord {
-    let mut cands: Vec<(u32, usize)> = entry
-        .migration
-        .replicas
-        .iter()
-        .enumerate()
-        .filter(|&(rank, _)| entry.scores[rank].is_finite())
-        .map(|(rank, loc)| (loc.0, rank))
-        .collect();
-    cands.sort_unstable();
+    // Exact capacity: the recorder keeps every record for the whole run.
+    let finite = entry.scores.iter().filter(|s| s.is_finite()).count();
+    let mut candidates: Vec<CandidateScore> = Vec::with_capacity(finite);
+    candidates.extend(
+        entry
+            .migration
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|&(rank, _)| entry.scores[rank].is_finite())
+            .map(|(rank, loc)| CandidateScore {
+                node: loc.0,
+                rank: rank as u32,
+                est_finish_secs: entry.scores[rank],
+                tier: entry.tier_of[rank],
+            }),
+    );
+    candidates.sort_unstable_by_key(|c| (c.node, c.rank));
     ProvenanceRecord {
         at: SimTime::ZERO, // recorder stamps time + pass
         pass: 0,
         migration: entry.migration.id.0,
         block: entry.migration.block.0,
         bytes: entry.migration.bytes,
-        candidates: cands
-            .into_iter()
-            .map(|(node, rank)| CandidateScore {
-                node,
-                rank: rank as u32,
-                est_finish_secs: entry.scores[rank],
-                tier: entry.tier_of[rank],
-            })
-            .collect(),
+        candidates,
         winner: entry.target.map(|n| n.0),
         rescored: 0,
         skipped: 0,

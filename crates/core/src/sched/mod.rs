@@ -1,42 +1,35 @@
-//! Indexed, range-sharded pending-migration scheduler (paper §III-D,
-//! scaled up).
+//! Indexed pending-migration scheduler (paper §III-D, scaled up).
 //!
 //! The paper's master keeps "a list of pending migrations" and rescans it
 //! wholesale: every Algorithm 1 pass rescores every entry, and every
 //! slave pull walks the whole list. That is fine for the paper's 50 GB
 //! bar but it is the hottest path in the system, so this module replaces
-//! the flat list with an indexed store partitioned into range shards:
+//! the flat list with an indexed store:
 //!
-//! * each [`shard::Shard`] owns a **slab** of entries, a block → slot
-//!   [`BTreeMap`], its slice of the global **admission queue** (ordered
-//!   by the configured [`MigrationOrder`] encoded as an [`OrderKey`], so
-//!   the BTree *is* the sort), per-node **bind queues** (`targeted`, and
-//!   `replica_idx` for the untargeted Naive policy), and its own
-//!   dirty-entry set;
-//! * blocks map to shards by id range
-//!   (`(block >> SHARD_RANGE_BITS) % S`), and every cross-shard walk —
-//!   pulls, checkpoints, the reference rescan — goes through a small
-//!   **K-way merge** over per-shard heads ([`merge`]), so drain order is
-//!   identical at every shard count;
-//! * the Algorithm 1 engines (see [`engine`]) score from per-node
-//!   snapshots and dirty sets; the full-rescan pass is kept as a
-//!   reference implementation behind [`SchedEngine::Reference`], and the
-//!   shard-local pass ([`SchedEngine::Sharded`]) adds the cascade cost
-//!   ceiling.
+//! * a **slab** of entries with LIFO slot reuse, and a block → slot
+//!   [`BTreeMap`];
+//! * the global **admission queue**, ordered by the configured
+//!   [`MigrationOrder`] encoded as an [`OrderKey`] (so the BTree *is* the
+//!   sort);
+//! * per-node **bind queues** (`targeted`, and `replica_idx` for the
+//!   untargeted Naive policy), which double as the dirty-node walk sets;
+//! * the dirty-node and dirty-entry sets the Algorithm 1 pass starts from.
 //!
-//! Everything is deterministic: slots are reused LIFO within each shard,
-//! all indexes are BTree-ordered, and the incremental engines are
-//! bit-identical to the reference pass at every shard count (asserted by
-//! `crates/core/tests/sched_equivalence.rs`).
+//! The production pass ([`SchedEngine::Planned`], see [`engine`]) scores
+//! from per-node snapshots and the dirty sets. The paper's full rescan is
+//! kept behind [`SchedEngine::Reference`] as the test oracle, and it is
+//! also the production pass's fallback once a pass turns dense
+//! ([`CASCADE_CEILING`]).
 //!
-//! The raw shard state (`raw_shards`, and each shard's `raw_pending`)
-//! must not be touched outside this module — `dyrs-verify`'s
-//! `pending-fence` lint enforces that the rest of the workspace goes
-//! through the Scheduler API.
+//! Everything is deterministic: slots are reused LIFO, all indexes are
+//! BTree-ordered, and the production pass is bit-identical to the
+//! reference pass (asserted by `crates/core/tests/sched_equivalence.rs`).
+//!
+//! The raw entry slab (`raw_pending`) must not be touched outside this
+//! module — `dyrs-verify`'s `pending-fence` lint enforces that the rest
+//! of the workspace goes through the Scheduler API.
 
 mod engine;
-mod merge;
-mod shard;
 
 use crate::config::{SchedEngine, SchedulerConfig};
 use crate::master::JobHint;
@@ -44,22 +37,16 @@ use crate::policy::MigrationOrder;
 use crate::types::{JobRef, Migration, MigrationId};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
-use shard::Shard;
 use simkit::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Global address of a live entry: `(shard, slot-within-shard)`.
-///
-/// Everywhere an index pairs an [`OrderKey`] with a slot, the pair orders
-/// by `(key, shard, idx)` — with unique keys (the master mints unique
-/// seqs) the slot half never decides, and with one shard it degenerates
-/// to the monolithic `(key, idx)` order.
-pub(crate) type Slot = (usize, usize);
-
-/// Blocks map to shards in contiguous runs of 64 ids striped round-robin
-/// (`(block >> 6) % S`): sequential blocks of one file stay shard-local,
-/// while any large id range still balances across all shards.
-const SHARD_RANGE_BITS: u32 = 6;
+/// The density ceiling of the production pass: once a pass would visit
+/// more than this fraction of the pending queue, it runs the sequential
+/// full walk instead of the sorted visit plan. Decisions are identical
+/// either way; only the cost differs. At a quarter of the queue the plan
+/// build (sort + dedup of the dirty indexes) and the scattered slab reads
+/// already cost more than rescoring everything in admission order.
+pub const CASCADE_CEILING: f64 = 0.25;
 
 /// Position of an entry in the admission order, independent of the
 /// discipline: the BTree indexes sort by `(OrderKey, slot)` and binding /
@@ -86,6 +73,11 @@ impl OrderKey {
         OrderKey { primary, seq }
     }
 }
+
+/// An index entry: an admission-order key and the slab slot it names.
+/// Every index orders by `(key, slot)`; with unique keys (the master
+/// mints unique seqs) the slot half never decides.
+type Pos = (OrderKey, usize);
 
 /// One pending migration plus the scheduler's cached scoring state.
 #[derive(Debug, Clone)]
@@ -114,7 +106,7 @@ pub(crate) struct Entry {
     tier_of: Vec<u8>,
     /// The winner's cached score (∞ when untargeted); this is the node's
     /// finish-time trajectory *at this queue position*, which is what the
-    /// incremental engine reads back via the `targeted` index.
+    /// plan walk reads back via the `targeted` index.
     winner_score: f64,
     /// False until the first pass scores the entry (new admissions).
     cache_valid: bool,
@@ -129,26 +121,38 @@ pub struct RetargetStats {
     pub rescored: u64,
     /// Entries left untouched (their decision provably cannot change).
     pub skipped: u64,
-    /// 1 if the pass hit the cascade cost ceiling and finished with the
-    /// reference walk (Sharded engine only; decisions are unaffected).
+    /// 1 if the production pass crossed [`CASCADE_CEILING`] and ran (or
+    /// finished with) the full walk; decisions are unaffected.
     pub ceiling_hits: u64,
 }
 
 /// The indexed pending store. Owned by the master; every read or write of
 /// pending-migration state goes through this API.
 pub(crate) struct Scheduler {
-    /// The range shards. All raw iteration over shard internals lives in
-    /// this module (`pending-fence`).
-    raw_shards: Vec<Shard>,
-    /// Cluster width (shards carry per-node index vectors of this size).
-    num_nodes: usize,
+    /// Entry slab; `None` slots are free (LIFO reuse via `free`). All raw
+    /// slab access lives in this module (`pending-fence`).
+    raw_pending: Vec<Option<Entry>>,
+    /// Free slots in `raw_pending`.
+    free: Vec<usize>,
+    /// block → slot.
+    by_block: BTreeMap<BlockId, usize>,
+    /// The admission order.
+    queue: BTreeSet<Pos>,
+    /// Per-node bind queues (entries targeted at the node).
+    targeted: Vec<BTreeSet<Pos>>,
+    /// Per-node replica membership (Naive-policy bind queue and the
+    /// dirty-node walk set).
+    replica_idx: Vec<BTreeSet<Pos>>,
+    /// Running total of pending bytes.
+    pending_bytes: u64,
+    /// Entries admitted (or re-admitted) since the last pass.
+    dirty_entries: BTreeSet<Pos>,
     /// Active admission discipline.
     order: MigrationOrder,
-    /// Engine selection, shard count, and dirty-set thresholds.
+    /// Engine selection.
     cfg: SchedulerConfig,
-    /// Per-node scoring snapshot: seconds-per-byte estimate. All engines
-    /// score exclusively from the snapshot, so reference and incremental
-    /// passes see identical inputs at any `spb_epsilon`.
+    /// Per-node scoring snapshot: seconds-per-byte estimate. Both passes
+    /// score exclusively from the snapshot, so they see identical inputs.
     snap_spb: Vec<f64>,
     /// Per-node scoring snapshot: queued bytes.
     snap_queued: Vec<f64>,
@@ -159,12 +163,8 @@ pub(crate) struct Scheduler {
     /// default is `[(0, 1.0)]` — memory only, factor exactly 1.0, which
     /// keeps every score bit-identical to the pre-tier arithmetic.
     snap_tiers: Vec<Vec<(u8, f64)>>,
-    /// Nodes whose snapshot changed since the last pass (global: a node's
-    /// replica holders can live in any shard).
+    /// Nodes whose snapshot changed since the last pass.
     dirty_nodes: BTreeSet<usize>,
-    /// Entries each shard rescored in the last pass (per-shard
-    /// `sched.dirty_entries` gauge feed).
-    last_shard_rescored: Vec<u64>,
 }
 
 impl Scheduler {
@@ -172,8 +172,14 @@ impl Scheduler {
     /// seconds-per-byte prior of `default_spb`.
     pub(crate) fn new(num_nodes: usize, default_spb: f64) -> Self {
         Scheduler {
-            raw_shards: vec![Shard::new(num_nodes)],
-            num_nodes,
+            raw_pending: Vec::new(),
+            free: Vec::new(),
+            by_block: BTreeMap::new(),
+            queue: BTreeSet::new(),
+            targeted: vec![BTreeSet::new(); num_nodes],
+            replica_idx: vec![BTreeSet::new(); num_nodes],
+            pending_bytes: 0,
+            dirty_entries: BTreeSet::new(),
             order: MigrationOrder::Fifo,
             cfg: SchedulerConfig::default(),
             snap_spb: vec![default_spb; num_nodes],
@@ -181,52 +187,17 @@ impl Scheduler {
             snap_candidate: vec![true; num_nodes],
             snap_tiers: vec![vec![(0, 1.0)]; num_nodes],
             dirty_nodes: BTreeSet::new(),
-            last_shard_rescored: vec![0],
         }
-    }
-
-    /// The shard a block's pending entry lives in.
-    #[inline]
-    fn shard_of(&self, block: BlockId) -> usize {
-        ((block.0 >> SHARD_RANGE_BITS) % self.raw_shards.len() as u64) as usize
     }
 
     // ------------------------------------------------------------------
     // configuration
     // ------------------------------------------------------------------
 
-    /// Select the retarget engine, shard count, and dirty thresholds.
-    ///
-    /// A shard-count change with entries present re-shards in place:
-    /// every entry (with its target, caches, and dirtiness) migrates to
-    /// its new shard in admission order, so the store's observable state
-    /// — drain order, targets, pending depth — is untouched.
+    /// Select the retarget engine. Both engines keep the same indexes and
+    /// cached scores, so switching mid-run is safe.
     pub(crate) fn set_config(&mut self, cfg: SchedulerConfig) {
         self.cfg = cfg;
-        self.cfg.shards = cfg.shards.max(1);
-        let want = self.cfg.shards;
-        if want == self.raw_shards.len() {
-            return;
-        }
-        let order: Vec<(OrderKey, Slot)> = merge::merged_queue(&self.raw_shards).collect();
-        let mut moved: Vec<(Entry, bool)> = Vec::with_capacity(order.len());
-        for &(key, (s, idx)) in &order {
-            let dirty = self.raw_shards[s].dirty_entries.contains(&(key, idx));
-            let entry = self.raw_shards[s].raw_pending[idx]
-                .take()
-                .expect("queued slots are live");
-            moved.push((entry, dirty));
-        }
-        self.raw_shards = vec![Shard::new(self.num_nodes); want];
-        self.last_shard_rescored = vec![0; want];
-        for (entry, dirty) in moved {
-            self.insert_entry(entry, dirty);
-        }
-    }
-
-    /// The active scheduler configuration.
-    pub(crate) fn config(&self) -> SchedulerConfig {
-        self.cfg
     }
 
     /// Select the admission discipline. Must be called before entries are
@@ -250,18 +221,10 @@ impl Scheduler {
     // ------------------------------------------------------------------
 
     /// Update a node's scoring snapshot from the master's heartbeat view.
-    /// Queued-byte changes always take effect; the spb estimate is gated
-    /// by `spb_epsilon` (relative) so a jittering estimator does not dirty
-    /// the node every heartbeat. `spb_epsilon = 0` keeps the snapshot an
-    /// exact mirror.
+    /// The snapshot is an exact mirror: any change dirties the node.
     pub(crate) fn set_node_load(&mut self, node: usize, spb: f64, queued_bytes: f64) {
-        let eps = self.cfg.spb_epsilon;
-        let cur = self.snap_spb[node];
-        if spb != cur && (eps <= 0.0 || (spb - cur).abs() > eps * cur.abs()) {
+        if self.snap_spb[node] != spb || self.snap_queued[node] != queued_bytes {
             self.snap_spb[node] = spb;
-            self.dirty_nodes.insert(node);
-        }
-        if self.snap_queued[node] != queued_bytes {
             self.snap_queued[node] = queued_bytes;
             self.dirty_nodes.insert(node);
         }
@@ -309,8 +272,8 @@ impl Scheduler {
     // admission / removal
     // ------------------------------------------------------------------
 
-    /// Admit a migration. The caller guarantees the block is not already
-    /// pending (checked by `contains_block`).
+    /// Admit a migration, dirty and untargeted. The caller guarantees the
+    /// block is not already pending (checked by `contains_block`).
     pub(crate) fn insert(
         &mut self,
         migration: Migration,
@@ -319,8 +282,8 @@ impl Scheduler {
         not_before: SimTime,
     ) {
         debug_assert!(!self.contains_block(migration.block));
-        let scores = vec![f64::INFINITY; migration.replicas.len()];
-        let tier_of = vec![0; migration.replicas.len()];
+        let key = OrderKey::new(self.order, &hint, seq);
+        let replicas = migration.replicas.len();
         let entry = Entry {
             migration,
             target: None,
@@ -328,51 +291,39 @@ impl Scheduler {
             hint,
             not_before,
             target_tier: 0,
-            scores,
-            tier_of,
+            scores: vec![f64::INFINITY; replicas],
+            tier_of: vec![0; replicas],
             winner_score: f64::INFINITY,
             cache_valid: false,
         };
-        self.insert_entry(entry, true);
-    }
-
-    /// Link a fully-formed entry into its shard's slab and indexes
-    /// (including the bind queue if it carries a target), marking it
-    /// dirty when asked. Admission and re-sharding both land here.
-    fn insert_entry(&mut self, entry: Entry, dirty: bool) {
-        let key = OrderKey::new(self.order, &entry.hint, entry.seq);
-        let s = self.shard_of(entry.migration.block);
-        let shard = &mut self.raw_shards[s];
-        let idx = shard.alloc(entry);
-        let e = shard.raw_pending[idx].as_ref().expect("just inserted");
-        shard.pending_bytes += e.migration.bytes;
-        shard.by_block.insert(e.migration.block, idx);
-        shard.queue.insert((key, idx));
-        for &r in &e.migration.replicas {
-            shard.replica_idx[r.index()].insert((key, idx));
+        self.pending_bytes += entry.migration.bytes;
+        let idx = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.raw_pending.push(None);
+                self.raw_pending.len() - 1
+            }
+        };
+        debug_assert!(self.raw_pending[idx].is_none(), "free list slot is live");
+        self.by_block.insert(entry.migration.block, idx);
+        self.queue.insert((key, idx));
+        for &r in &entry.migration.replicas {
+            self.replica_idx[r.index()].insert((key, idx));
         }
-        if let Some(t) = e.target {
-            shard.targeted[t.index()].insert((key, idx));
-        }
-        if dirty {
-            shard.dirty_entries.insert((key, idx));
-        }
+        self.dirty_entries.insert((key, idx));
+        self.raw_pending[idx] = Some(entry);
     }
 
     /// Whether `block` is pending.
     pub(crate) fn contains_block(&self, block: BlockId) -> bool {
-        self.raw_shards[self.shard_of(block)]
-            .by_block
-            .contains_key(&block)
+        self.by_block.contains_key(&block)
     }
 
     /// Add a job reference to the pending entry for `block` (no-op if the
     /// job is already referenced). Job references do not affect scoring.
     pub(crate) fn add_job_ref(&mut self, block: BlockId, jref: JobRef) {
-        let s = self.shard_of(block);
-        let shard = &mut self.raw_shards[s];
-        if let Some(&idx) = shard.by_block.get(&block) {
-            let e = shard.raw_pending[idx].as_mut().expect("indexed slot live");
+        if let Some(&idx) = self.by_block.get(&block) {
+            let e = self.raw_pending[idx].as_mut().expect("indexed slot live");
             if !e.migration.jobs.iter().any(|r| r.job == jref.job) {
                 e.migration.jobs.push(jref);
             }
@@ -383,15 +334,11 @@ impl Scheduler {
     /// leaves the entry with no interested job it is removed; the removed
     /// migration's id is returned so the caller can close its span.
     pub(crate) fn drop_job_ref(&mut self, block: BlockId, job: JobId) -> Option<MigrationId> {
-        let s = self.shard_of(block);
-        let &idx = self.raw_shards[s].by_block.get(&block)?;
-        let e = self.raw_shards[s].raw_pending[idx]
-            .as_mut()
-            .expect("indexed slot live");
+        let &idx = self.by_block.get(&block)?;
+        let e = self.raw_pending[idx].as_mut().expect("indexed slot live");
         e.migration.jobs.retain(|r| r.job != job);
         if e.migration.jobs.is_empty() {
-            let entry = self.remove_slot((s, idx));
-            Some(entry.migration.id)
+            Some(self.remove_slot(idx).migration.id)
         } else {
             None
         }
@@ -400,42 +347,46 @@ impl Scheduler {
     /// Cancel the pending migration for `block` (missed read), returning
     /// the removed entry if one was pending.
     pub(crate) fn remove_block(&mut self, block: BlockId) -> Option<Entry> {
-        let s = self.shard_of(block);
-        let idx = self.raw_shards[s].by_block.get(&block).copied()?;
-        Some(self.remove_slot((s, idx)))
+        let idx = self.by_block.get(&block).copied()?;
+        Some(self.remove_slot(idx))
     }
 
-    /// Unlink `slot` from every index in its shard and free it.
-    fn remove_slot(&mut self, slot: Slot) -> Entry {
-        let (s, idx) = slot;
-        let shard = &mut self.raw_shards[s];
-        let entry = shard.raw_pending[idx]
-            .take()
-            .expect("removing a live entry");
-        let key = OrderKey::new(self.order, &entry.hint, entry.seq);
-        shard.queue.remove(&(key, idx));
-        shard.dirty_entries.remove(&(key, idx));
-        shard.by_block.remove(&entry.migration.block);
+    /// Unlink slot `idx` from every index and free it.
+    fn remove_slot(&mut self, idx: usize) -> Entry {
+        let entry = self.raw_pending[idx].take().expect("removing a live entry");
+        let pos = (OrderKey::new(self.order, &entry.hint, entry.seq), idx);
+        self.queue.remove(&pos);
+        self.dirty_entries.remove(&pos);
+        self.by_block.remove(&entry.migration.block);
         for &r in &entry.migration.replicas {
-            shard.replica_idx[r.index()].remove(&(key, idx));
+            self.replica_idx[r.index()].remove(&pos);
         }
         if let Some(t) = entry.target {
-            shard.targeted[t.index()].remove(&(key, idx));
+            self.targeted[t.index()].remove(&pos);
             // The node's downstream finish-time trajectory shrinks; every
             // entry scored after this position must be revisited.
             self.dirty_nodes.insert(t.index());
         }
-        shard.pending_bytes -= entry.migration.bytes;
-        shard.free.push(idx);
+        self.pending_bytes -= entry.migration.bytes;
+        self.free.push(idx);
         entry
     }
 
     /// Drop all pending state (master restart). Snapshots return to the
     /// prior; nothing is left to rescore.
     pub(crate) fn reset(&mut self, default_spb: f64) {
-        for shard in &mut self.raw_shards {
-            shard.clear();
+        self.raw_pending.clear();
+        self.free.clear();
+        self.by_block.clear();
+        self.queue.clear();
+        for t in &mut self.targeted {
+            t.clear();
         }
+        for r in &mut self.replica_idx {
+            r.clear();
+        }
+        self.pending_bytes = 0;
+        self.dirty_entries.clear();
         for s in &mut self.snap_spb {
             *s = default_spb;
         }
@@ -450,9 +401,6 @@ impl Scheduler {
             *c = true;
         }
         self.dirty_nodes.clear();
-        for r in &mut self.last_shard_rescored {
-            *r = 0;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -463,8 +411,7 @@ impl Scheduler {
     /// admission order: entries targeted at the node (`targeted = true`,
     /// Dyrs) or entries with any replica on it (Naive), skipping entries
     /// still inside their retry backoff. Skipped and unpicked entries stay
-    /// queued in their original positions. Cross-shard order comes from
-    /// the K-way merge over the per-shard bind queues.
+    /// queued in their original positions.
     pub(crate) fn pull(
         &mut self,
         node: NodeId,
@@ -472,33 +419,27 @@ impl Scheduler {
         now: SimTime,
         limit: usize,
     ) -> Vec<Entry> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let n = node.index();
-        let mut picked: Vec<Slot> = Vec::new();
-        let cursor = merge::MergeCursor::new(self.raw_shards.iter().map(|sh| {
-            if targeted {
-                &sh.targeted[n]
-            } else {
-                &sh.replica_idx[n]
-            }
-        }));
-        for (_, slot) in cursor {
-            if picked.len() == limit {
-                break;
-            }
-            let e = self.raw_shards[slot.0].raw_pending[slot.1]
-                .as_ref()
-                .expect("indexed slot live");
+        let index = if targeted {
+            &self.targeted[node.index()]
+        } else {
+            &self.replica_idx[node.index()]
+        };
+        let picked: Vec<usize> = index
+            .iter()
+            .map(|&(_, idx)| idx)
             // retry-backoff entries (`not_before`) are not yet eligible
-            if e.not_before <= now {
-                picked.push(slot);
-            }
-        }
+            .filter(|&idx| {
+                self.raw_pending[idx]
+                    .as_ref()
+                    .expect("indexed slot live")
+                    .not_before
+                    <= now
+            })
+            .take(limit)
+            .collect();
         picked
             .into_iter()
-            .map(|slot| self.remove_slot(slot))
+            .map(|idx| self.remove_slot(idx))
             .collect()
     }
 
@@ -508,185 +449,143 @@ impl Scheduler {
 
     /// Number of pending entries.
     pub(crate) fn len(&self) -> usize {
-        self.raw_shards.iter().map(Shard::len).sum()
+        self.queue.len()
     }
 
     /// Total pending bytes.
     pub(crate) fn bytes(&self) -> u64 {
-        self.raw_shards.iter().map(|s| s.pending_bytes).sum()
-    }
-
-    /// Number of shards the pending store is partitioned into.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.raw_shards.len()
-    }
-
-    /// Per-shard pending depth, in shard order (`sched.pending_depth`
-    /// gauge feed).
-    pub(crate) fn shard_depths(&self) -> Vec<usize> {
-        self.raw_shards.iter().map(Shard::len).collect()
-    }
-
-    /// Per-shard rescored counts from the most recent retarget pass, in
-    /// shard order (`sched.dirty_entries` gauge feed).
-    pub(crate) fn shard_rescored(&self) -> &[u64] {
-        &self.last_shard_rescored
+        self.pending_bytes
     }
 
     /// Number of pending entries currently targeted at `node` — the depth
     /// of its bind queue. A draining node may only be decommissioned once
     /// this reaches zero (its pending work has been re-targeted away).
     pub(crate) fn targeted_len(&self, node: NodeId) -> usize {
-        self.raw_shards
-            .iter()
-            .map(|s| s.targeted[node.index()].len())
-            .sum()
+        self.targeted[node.index()].len()
     }
 
     /// The node `block` is currently targeted at, if pending and targeted.
     pub(crate) fn target_of(&self, block: BlockId) -> Option<NodeId> {
-        let s = self.shard_of(block);
-        let &idx = self.raw_shards[s].by_block.get(&block)?;
-        self.raw_shards[s].raw_pending[idx]
+        let &idx = self.by_block.get(&block)?;
+        self.raw_pending[idx]
             .as_ref()
             .expect("indexed slot live")
             .target
     }
 
-    /// Pending block ids in ascending order (merged across shards).
+    /// Pending block ids in ascending order.
     pub(crate) fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        merge::BlockMerge::new(&self.raw_shards)
+        self.by_block.keys().copied()
     }
 
-    /// Pending entries in admission order (merged across shards).
+    /// Pending entries in admission order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = &Entry> + '_ {
-        merge::merged_queue(&self.raw_shards).map(|(_, (s, idx))| {
-            self.raw_shards[s].raw_pending[idx]
-                .as_ref()
-                .expect("queued slot live")
-        })
+        self.queue
+            .iter()
+            .map(|&(_, idx)| self.raw_pending[idx].as_ref().expect("queued slot live"))
     }
 
     // ------------------------------------------------------------------
     // audit
     // ------------------------------------------------------------------
 
-    /// Index invariants: every index agrees with its shard's slab, the
-    /// range map holds, bytes and free slots balance, and dirty entries
-    /// reference live slots.
+    /// Index invariants: every index agrees with the slab, bytes and free
+    /// slots balance, and dirty entries reference live slots.
     pub(crate) fn audit(&self, report: &mut simkit::audit::AuditReport) {
         let c = "sched";
-        for (sno, shard) in self.raw_shards.iter().enumerate() {
-            let live = shard.raw_pending.iter().flatten().count();
+        let live = self.raw_pending.iter().flatten().count();
+        report.check(
+            self.queue.len() == live && self.by_block.len() == live,
+            c,
+            "queue and block index cover exactly the live slots",
+            || {
+                format!(
+                    "live {live}, queue {}, by_block {}",
+                    self.queue.len(),
+                    self.by_block.len()
+                )
+            },
+        );
+        report.check(
+            self.free.len() + live == self.raw_pending.len(),
+            c,
+            "free list and live slots partition the slab",
+            || {
+                format!(
+                    "free {} + live {live} != slab {}",
+                    self.free.len(),
+                    self.raw_pending.len()
+                )
+            },
+        );
+        let mut bytes = 0u64;
+        let mut targeted_live = 0usize;
+        for &(key, idx) in &self.queue {
+            let Some(e) = self.raw_pending.get(idx).and_then(|s| s.as_ref()) else {
+                report.check(false, c, "queued slots are live", || {
+                    format!("queue references freed slot {idx}")
+                });
+                continue;
+            };
+            bytes += e.migration.bytes;
             report.check(
-                shard.queue.len() == live && shard.by_block.len() == live,
+                OrderKey::new(self.order, &e.hint, e.seq) == key,
                 c,
-                "queue and block index cover exactly the live slots",
-                || {
-                    format!(
-                        "shard {sno}: live {live}, queue {}, by_block {}",
-                        shard.queue.len(),
-                        shard.by_block.len()
-                    )
-                },
+                "queue keys match their entries",
+                || format!("{} queued under a stale key", e.migration.block),
             );
             report.check(
-                shard.free.len() + live == shard.raw_pending.len(),
+                self.by_block.get(&e.migration.block) == Some(&idx),
                 c,
-                "free list and live slots partition the slab",
-                || {
-                    format!(
-                        "shard {sno}: free {} + live {live} != slab {}",
-                        shard.free.len(),
-                        shard.raw_pending.len()
-                    )
-                },
+                "block index points back at the slot",
+                || format!("{} not indexed at slot {idx}", e.migration.block),
             );
-            let mut bytes = 0u64;
-            for &(key, idx) in &shard.queue {
-                let Some(e) = shard.raw_pending.get(idx).and_then(|s| s.as_ref()) else {
-                    report.check(false, c, "queued slots are live", || {
-                        format!("shard {sno}: queue references freed slot {idx}")
-                    });
-                    continue;
-                };
-                bytes += e.migration.bytes;
+            for &r in &e.migration.replicas {
                 report.check(
-                    self.shard_of(e.migration.block) == sno,
+                    self.replica_idx[r.index()].contains(&(key, idx)),
                     c,
-                    "entries live in their range shard",
-                    || format!("{} stored in shard {sno}", e.migration.block),
+                    "replica index covers every replica holder",
+                    || format!("{} missing from replica index of {r}", e.migration.block),
                 );
-                report.check(
-                    OrderKey::new(self.order, &e.hint, e.seq) == key,
-                    c,
-                    "queue keys match their entries",
-                    || format!("{} queued under a stale key", e.migration.block),
-                );
-                report.check(
-                    shard.by_block.get(&e.migration.block) == Some(&idx),
-                    c,
-                    "block index points back at the slot",
-                    || format!("{} not indexed at slot {idx}", e.migration.block),
-                );
-                for &r in &e.migration.replicas {
+            }
+            match e.target {
+                Some(t) => {
+                    targeted_live += 1;
                     report.check(
-                        shard.replica_idx[r.index()].contains(&(key, idx)),
-                        c,
-                        "replica index covers every replica holder",
-                        || format!("{} missing from replica index of {r}", e.migration.block),
-                    );
-                }
-                match e.target {
-                    Some(t) => report.check(
-                        shard.targeted[t.index()].contains(&(key, idx)),
+                        self.targeted[t.index()].contains(&(key, idx)),
                         c,
                         "targeted entries sit in their node's bind queue",
                         || format!("{} targeted at {t} but not in its queue", e.migration.block),
-                    ),
-                    None => report.check(
-                        !e.cache_valid || e.winner_score.is_infinite(),
-                        c,
-                        "untargeted entries carry no finite winner score",
-                        || format!("{} untargeted with a winner score", e.migration.block),
-                    ),
+                    );
                 }
-            }
-            report.check(
-                bytes == shard.pending_bytes,
-                c,
-                "pending byte total matches the entries",
-                || {
-                    format!(
-                        "shard {sno}: counted {bytes}, cached {}",
-                        shard.pending_bytes
-                    )
-                },
-            );
-            let targeted_total: usize = shard.targeted.iter().map(BTreeSet::len).sum();
-            report.check(
-                targeted_total
-                    == shard
-                        .queue
-                        .iter()
-                        .filter(|&&(_, i)| {
-                            shard.raw_pending[i]
-                                .as_ref()
-                                .is_some_and(|e| e.target.is_some())
-                        })
-                        .count(),
-                c,
-                "bind queues hold exactly the targeted entries",
-                || format!("shard {sno}: {targeted_total} bind-queue entries"),
-            );
-            for d in &shard.dirty_entries {
-                report.check(
-                    shard.queue.contains(d),
+                None => report.check(
+                    !e.cache_valid || e.winner_score.is_infinite(),
                     c,
-                    "dirty entries reference queued work",
-                    || format!("shard {sno}: stale dirty entry at slot {}", d.1),
-                );
+                    "untargeted entries carry no finite winner score",
+                    || format!("{} untargeted with a winner score", e.migration.block),
+                ),
             }
+        }
+        report.check(
+            bytes == self.pending_bytes,
+            c,
+            "pending byte total matches the entries",
+            || format!("counted {bytes}, cached {}", self.pending_bytes),
+        );
+        let targeted_total: usize = self.targeted.iter().map(BTreeSet::len).sum();
+        report.check(
+            targeted_total == targeted_live,
+            c,
+            "bind queues hold exactly the targeted entries",
+            || format!("{targeted_total} bind-queue entries for {targeted_live} targeted"),
+        );
+        for d in &self.dirty_entries {
+            report.check(
+                self.queue.contains(d),
+                c,
+                "dirty entries reference queued work",
+                || format!("stale dirty entry at slot {}", d.1),
+            );
         }
     }
 }
@@ -716,13 +615,9 @@ mod tests {
         Scheduler::new(4, 1.0 / (140.0 * (1u64 << 20) as f64))
     }
 
-    fn slot_of(s: &Scheduler, b: u64) -> (usize, usize) {
-        let sno = s.shard_of(BlockId(b));
-        let idx = *s.raw_shards[sno]
-            .by_block
-            .get(&BlockId(b))
-            .expect("pending");
-        (sno, idx)
+    fn entry_of(s: &Scheduler, b: u64) -> &Entry {
+        let idx = *s.by_block.get(&BlockId(b)).expect("pending");
+        s.raw_pending[idx].as_ref().expect("live slot")
     }
 
     #[test]
@@ -749,9 +644,8 @@ mod tests {
         s.insert(mig(1, 2, &[0]), 2, JobHint::default(), SimTime::ZERO);
         s.remove_block(BlockId(1));
         s.insert(mig(2, 3, &[0]), 3, JobHint::default(), SimTime::ZERO);
-        // the freed slot 0 is reused, and the (single) shard's slab did
-        // not grow
-        assert_eq!(s.raw_shards[0].raw_pending.len(), 2);
+        // the freed slot 0 is reused, and the slab did not grow
+        assert_eq!(s.raw_pending.len(), 2);
         let mut report = AuditReport::new();
         s.audit(&mut report);
         assert!(report.is_clean(), "{report:?}");
@@ -792,71 +686,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_spreads_ranges_and_merges_in_order() {
+    fn store_drains_in_admission_order() {
         let mut s = sched();
-        s.set_config(SchedulerConfig {
-            shards: 4,
-            ..SchedulerConfig::default()
-        });
-        // Blocks 64 ids apart land in distinct shards; admission order
-        // (seq) still rules the merged queue and the pull order.
+        // Block ids descend while admission order (seq) ascends: the
+        // queue and the pulls follow admission, the block view ascends.
         for i in 0..8u64 {
-            let block = (7 - i) << SHARD_RANGE_BITS; // descending block ids
             s.insert(
-                mig(i, block, &[0]),
+                mig(i, 7 - i, &[0]),
                 i + 1,
                 JobHint::default(),
                 SimTime::ZERO,
             );
         }
-        assert!(
-            s.raw_shards.iter().all(|sh| sh.len() == 2),
-            "64-id ranges stripe evenly over 4 shards"
-        );
         let seqs: Vec<u64> = s.entries().map(|e| e.seq).collect();
-        assert_eq!(seqs, (1..=8).collect::<Vec<u64>>(), "merged queue is FIFO");
+        assert_eq!(seqs, (1..=8).collect::<Vec<u64>>(), "queue is FIFO");
         let blocks: Vec<u64> = s.block_ids().map(|b| b.0).collect();
         assert!(blocks.windows(2).all(|w| w[0] < w[1]), "block ids ascend");
         let picked = s.pull(NodeId(0), false, SimTime::ZERO, 3);
         let pulled: Vec<u64> = picked.iter().map(|e| e.seq).collect();
         assert_eq!(pulled, vec![1, 2, 3], "pull drains in admission order");
-        let mut report = AuditReport::new();
-        s.audit(&mut report);
-        assert!(report.is_clean(), "{report:?}");
-    }
-
-    #[test]
-    fn resharding_preserves_entries_targets_and_dirtiness() {
-        let mut s = sched();
-        for i in 0..6u64 {
-            s.insert(
-                mig(i, i << SHARD_RANGE_BITS, &[0, 1]),
-                i + 1,
-                JobHint::default(),
-                SimTime::ZERO,
-            );
-        }
-        s.retarget(&dyrs_obs::ObsHandle::default());
-        let targets: Vec<Option<NodeId>> =
-            (0..6u64).map(|i| s.target_of(BlockId(i << 6))).collect();
-        // one more admission stays dirty across the re-shard
-        s.insert(mig(9, 9 << 6, &[1]), 9, JobHint::default(), SimTime::ZERO);
-        s.set_config(SchedulerConfig {
-            shards: 8,
-            ..SchedulerConfig::default()
-        });
-        assert_eq!(s.len(), 7);
-        let after: Vec<Option<NodeId>> = (0..6u64).map(|i| s.target_of(BlockId(i << 6))).collect();
-        assert_eq!(targets, after, "targets survive the re-shard");
-        let dirty: usize = s.raw_shards.iter().map(|sh| sh.dirty_entries.len()).sum();
-        assert_eq!(dirty, 1, "only the new admission is dirty");
-        let mut report = AuditReport::new();
-        s.audit(&mut report);
-        assert!(report.is_clean(), "{report:?}");
-        // and back down to one shard
-        s.set_config(SchedulerConfig::default());
-        assert_eq!(s.shard_count(), 1);
-        assert_eq!(s.len(), 7);
         let mut report = AuditReport::new();
         s.audit(&mut report);
         assert!(report.is_clean(), "{report:?}");
@@ -873,16 +721,10 @@ mod tests {
         s.insert(mig(0, 1, &[0]), 1, JobHint::default(), SimTime::ZERO);
         s.insert(mig(1, 2, &[1]), 2, JobHint::default(), SimTime::ZERO);
         s.retarget(&dyrs_obs::ObsHandle::default());
-        let (s0, i0) = slot_of(&s, 1);
-        let (s1, i1) = slot_of(&s, 2);
-        let e0 = s.raw_shards[s0].raw_pending[i0]
-            .as_ref()
-            .expect("live slot");
+        let e0 = entry_of(&s, 1);
         assert_eq!(e0.target, Some(NodeId(0)));
         assert_eq!(e0.target_tier, 1, "chosen tier rides with the entry");
-        let e1 = s.raw_shards[s1].raw_pending[i1]
-            .as_ref()
-            .expect("live slot");
+        let e1 = entry_of(&s, 2);
         assert_eq!(e1.target_tier, 0);
         // same bytes, same spb: the tier-1 stream costs exactly 2×
         assert_eq!(e0.winner_score, 2.0 * e1.winner_score);
@@ -894,11 +736,11 @@ mod tests {
         s.set_node_tiers(0, vec![(0, 1.0), (1, 1.0), (2, 1.0)]);
         s.insert(mig(0, 1, &[0]), 1, JobHint::default(), SimTime::ZERO);
         s.retarget(&dyrs_obs::ObsHandle::default());
-        let (sno, idx) = slot_of(&s, 1);
-        let e = s.raw_shards[sno].raw_pending[idx]
-            .as_ref()
-            .expect("live slot");
-        assert_eq!(e.target_tier, 0, "strict-min keeps the fastest tier");
+        assert_eq!(
+            entry_of(&s, 1).target_tier,
+            0,
+            "strict-min keeps the fastest tier"
+        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Differential tests: the incremental and sharded Algorithm 1 engines
-//! against the reference full rescan.
+//! Differential tests: the production Algorithm 1 pass against the
+//! reference full rescan.
 //!
 //! Masters — identical except for [`SchedulerConfig`] — are driven
 //! through the same randomized event sequences (admissions, retargets,
 //! pulls, completions, read-cancels, job evictions, spb drift, health
 //! flaps, master restarts). After every step they must agree on every
 //! observable: per-block targets, pull results (bind order included),
-//! pending depth and bytes, and all must pass the full invariant audit.
-//! A second generator sweeps shard counts (1 / 2 / 8, with and without
-//! the cascade ceiling) so the K-way merge and the cross-shard
-//! trajectory lookups face the same scrutiny. This is the executable
-//! form of the equivalence argument in `crates/core/src/sched/engine.rs`.
+//! pending depth and bytes, and both must pass the full invariant audit.
+//! On a narrow cluster nearly every pass crosses the density ceiling and
+//! runs the full walk; a second generator uses a cluster wide enough that
+//! one or two dirty nodes stay under it, so the sorted plan walk and its
+//! cascade face the same scrutiny. This is the executable form of the
+//! equivalence argument in `crates/core/src/sched/engine.rs`.
 
 use dyrs::master::{BlockRequest, JobHint, Master};
 use dyrs::types::EvictionMode;
@@ -20,52 +21,51 @@ use dyrs_dfs::{BlockId, JobId};
 use proptest::prelude::*;
 use simkit::audit::{Audit, AuditReport};
 use simkit::{Rng, SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const MB: u64 = 1 << 20;
 const BW: f64 = 140.0 * MB as f64;
 const NODES: u32 = 6;
+/// Wide enough that a node's replica holders (two replicas per block)
+/// are about a tenth of the queue, under the density ceiling.
+const WIDE: u32 = 20;
 
-fn sched_cfg(engine: SchedEngine, shards: usize, ceiling: f64) -> SchedulerConfig {
-    SchedulerConfig {
-        engine,
-        shards,
-        cascade_ceiling: ceiling,
-        ..SchedulerConfig::default()
-    }
-}
-
-fn master_with(cfg: SchedulerConfig, order: MigrationOrder, detector: bool) -> Master {
-    let mut m = Master::new(MigrationPolicy::Dyrs, NODES as usize, BW, Rng::new(7));
+fn master_with(engine: SchedEngine, nodes: u32, order: MigrationOrder, detector: bool) -> Master {
+    let mut m = Master::new(MigrationPolicy::Dyrs, nodes as usize, BW, Rng::new(7));
     m.set_order(order);
-    m.set_sched_config(cfg);
+    m.set_sched_config(SchedulerConfig { engine });
     if detector {
         m.configure_detector(dyrs::FailureDetectorConfig::default());
     }
-    for n in 0..NODES {
+    for n in 0..nodes {
         m.on_heartbeat_at(NodeId(n), 1.0 / BW, 0, SimTime::ZERO);
     }
     m
 }
 
 /// Every observable both engines must agree on, plus a clean audit.
-fn assert_agree(inc: &Master, refr: &Master, step: usize) {
-    assert_eq!(inc.pending_len(), refr.pending_len(), "step {step}: depth");
+fn assert_agree(planned: &Master, refr: &Master, step: usize) {
     assert_eq!(
-        inc.pending_bytes(),
+        planned.pending_len(),
+        refr.pending_len(),
+        "step {step}: depth"
+    );
+    assert_eq!(
+        planned.pending_bytes(),
         refr.pending_bytes(),
         "step {step}: bytes"
     );
-    let blocks: Vec<BlockId> = inc.pending_block_ids().collect();
+    let blocks: Vec<BlockId> = planned.pending_block_ids().collect();
     let blocks_r: Vec<BlockId> = refr.pending_block_ids().collect();
     assert_eq!(blocks, blocks_r, "step {step}: pending block sets");
     for b in blocks {
         assert_eq!(
-            inc.target_of(b),
+            planned.target_of(b),
             refr.target_of(b),
             "step {step}: target of {b:?} diverged"
         );
     }
-    for (label, m) in [("incremental", inc), ("reference", refr)] {
+    for (label, m) in [("planned", planned), ("reference", refr)] {
         let mut report = AuditReport::new();
         m.audit(&mut report);
         assert!(
@@ -84,6 +84,36 @@ fn order_of(sel: u8) -> MigrationOrder {
     }
 }
 
+/// `count` fresh blocks for one job, two replicas each starting at
+/// `node_sel`, with sizes and the hint drawn from `pick` so the SJF/EDF
+/// order keys are exercised.
+fn admission(
+    nodes: u32,
+    node_sel: u32,
+    pick: u64,
+    count: u64,
+    next_block: &mut u64,
+    clock: SimTime,
+) -> (Vec<BlockRequest>, JobHint) {
+    let reqs = (0..count)
+        .map(|k| {
+            let b = *next_block;
+            *next_block += 1;
+            let r0 = (node_sel + k as u32) % nodes;
+            BlockRequest {
+                block: BlockId(b),
+                bytes: (1 + (pick + k) % 8) * 64 * MB,
+                replicas: vec![NodeId(r0), NodeId((r0 + 1 + (pick as u32 % 2)) % nodes)],
+            }
+        })
+        .collect();
+    let hint = JobHint {
+        expected_launch: clock + SimDuration::from_secs(pick % 30),
+        total_bytes: (1 + pick % 10) * 256 * MB,
+    };
+    (reqs, hint)
+}
+
 proptest! {
     /// Random event sequences through both engines: identical targets,
     /// identical bind order, identical audit results, at every step.
@@ -97,8 +127,8 @@ proptest! {
         ),
     ) {
         let order = order_of(order_sel);
-        let mut inc = master_with(sched_cfg(SchedEngine::Incremental, 1, 0.0), order, detector);
-        let mut refr = master_with(sched_cfg(SchedEngine::Reference, 1, 0.0), order, detector);
+        let mut planned = master_with(SchedEngine::Planned, NODES, order, detector);
+        let mut refr = master_with(SchedEngine::Reference, NODES, order, detector);
         let mut clock = SimTime::ZERO;
         let mut next_block = 0u64;
         let mut next_job = 0u64;
@@ -112,44 +142,26 @@ proptest! {
             clock += SimDuration::from_secs(dt);
             let node = NodeId(node_sel);
             match op {
-                // Admit 1–3 fresh blocks under one job, with hints so the
-                // SJF/EDF order keys are exercised.
+                // Admit 1–3 fresh blocks under one job.
                 0 => {
                     let job = JobId(next_job);
                     next_job += 1;
-                    let reqs: Vec<BlockRequest> = (0..(pick % 3) + 1)
-                        .map(|k| {
-                            let b = next_block;
-                            next_block += 1;
-                            let r0 = (node_sel + k as u32) % NODES;
-                            BlockRequest {
-                                block: BlockId(b),
-                                bytes: (1 + (pick + k) % 8) * 64 * MB,
-                                replicas: vec![
-                                    NodeId(r0),
-                                    NodeId((r0 + 1 + (pick as u32 % 2)) % NODES),
-                                ],
-                            }
-                        })
-                        .collect();
-                    let hint = JobHint {
-                        expected_launch: clock + SimDuration::from_secs(pick % 30),
-                        total_bytes: (1 + pick % 10) * 256 * MB,
-                    };
-                    let a = inc.request_migration_hinted(
+                    let (reqs, hint) =
+                        admission(NODES, node_sel, pick, (pick % 3) + 1, &mut next_block, clock);
+                    let a = planned.request_migration_hinted(
                         job, reqs.clone(), EvictionMode::Implicit, hint);
                     let b = refr.request_migration_hinted(
                         job, reqs, EvictionMode::Implicit, hint);
                     prop_assert_eq!(a, b, "step {}: admit outcome", step);
                 }
                 1 => {
-                    inc.retarget();
+                    planned.retarget();
                     refr.retarget();
                 }
                 // A pull must bind the same migrations in the same order.
                 2 => {
                     let space = (pick as usize % 4) + 1;
-                    let a = inc.on_slave_pull(node, space);
+                    let a = planned.on_slave_pull(node, space);
                     let b = refr.on_slave_pull(node, space);
                     prop_assert_eq!(&a, &b, "step {}: pull diverged", step);
                     prop_assert!(a.len() <= space, "step {step}: over-popped");
@@ -163,7 +175,7 @@ proptest! {
                         .collect();
                     if let Some(&i) = eligible.get(pick as usize % eligible.len().max(1)) {
                         let (n, b) = bound.swap_remove(i);
-                        inc.on_migration_complete(n, b);
+                        planned.on_migration_complete(n, b);
                         refr.on_migration_complete(n, b);
                     }
                 }
@@ -171,7 +183,7 @@ proptest! {
                 4 => {
                     let b = BlockId(pick % next_block.max(1));
                     prop_assert_eq!(
-                        inc.on_block_read(b),
+                        planned.on_block_read(b),
                         refr.on_block_read(b),
                         "step {}: read-cancel", step
                     );
@@ -179,7 +191,7 @@ proptest! {
                 5 => {
                     let j = JobId(pick % next_job.max(1));
                     prop_assert_eq!(
-                        inc.evict_job(j),
+                        planned.evict_job(j),
                         refr.evict_job(j),
                         "step {}: evict nodes", step
                     );
@@ -188,7 +200,7 @@ proptest! {
                 6 => {
                     let spb = (1.0 + (pick % 16) as f64) / BW;
                     let queued = (pick % 5) * 128 * MB;
-                    inc.on_heartbeat_at(node, spb, queued, clock);
+                    planned.on_heartbeat_at(node, spb, queued, clock);
                     refr.on_heartbeat_at(node, spb, queued, clock);
                 }
                 7 => {
@@ -197,10 +209,10 @@ proptest! {
                     if !up {
                         bound.retain(|&(n, _)| n != node);
                     }
-                    inc.set_node_up(node, up);
+                    planned.set_node_up(node, up);
                     refr.set_node_up(node, up);
                     if detector {
-                        let a = inc.check_health(clock);
+                        let a = planned.check_health(clock);
                         let b = refr.check_health(clock);
                         prop_assert_eq!(a.stuck, b.stuck, "step {}: health", step);
                     }
@@ -208,46 +220,44 @@ proptest! {
                 // Master restart: both drop soft state (rare-ish op; the
                 // sequence keeps running against the reset pair).
                 _ => {
-                    inc.restart();
+                    planned.restart();
                     refr.restart();
                     bound.clear();
                 }
             }
-            assert_agree(&inc, &refr, step);
+            assert_agree(&planned, &refr, step);
         }
         // Final drain: retarget + pull everything bindable, comparing the
         // complete bind order, not just a prefix.
         for round in 0..64 {
-            inc.retarget();
+            planned.retarget();
             refr.retarget();
             let mut any = false;
             for n in 0..NODES {
-                let a = inc.on_slave_pull(NodeId(n), 8);
+                let a = planned.on_slave_pull(NodeId(n), 8);
                 let b = refr.on_slave_pull(NodeId(n), 8);
                 prop_assert_eq!(&a, &b, "drain round {} node {}", round, n);
                 any |= !a.is_empty();
             }
-            assert_agree(&inc, &refr, usize::MAX);
+            assert_agree(&planned, &refr, usize::MAX);
             if !any {
                 break;
             }
         }
     }
 
-    /// Steady state sanity: with nothing dirty the incremental pass must
-    /// skip everything, and a single node's drift must not rescore the
-    /// whole queue — while staying decision-identical throughout.
+    /// Steady state sanity: with nothing dirty the production pass must
+    /// skip everything, and a single node's drift must still rescore —
+    /// while staying decision-identical throughout.
     #[test]
     fn steady_state_skips_and_stays_identical(
         spbs in proptest::collection::vec(1.0f64..20.0, NODES as usize),
         blocks in 1usize..40,
     ) {
-        let mut inc = master_with(
-            sched_cfg(SchedEngine::Incremental, 1, 0.0), MigrationOrder::Fifo, false);
-        let mut refr = master_with(
-            sched_cfg(SchedEngine::Reference, 1, 0.0), MigrationOrder::Fifo, false);
+        let mut planned = master_with(SchedEngine::Planned, NODES, MigrationOrder::Fifo, false);
+        let mut refr = master_with(SchedEngine::Reference, NODES, MigrationOrder::Fifo, false);
         for (n, s) in spbs.iter().enumerate() {
-            inc.on_heartbeat_at(NodeId(n as u32), s / BW, 0, SimTime::ZERO);
+            planned.on_heartbeat_at(NodeId(n as u32), s / BW, 0, SimTime::ZERO);
             refr.on_heartbeat_at(NodeId(n as u32), s / BW, 0, SimTime::ZERO);
         }
         for i in 0..blocks as u64 {
@@ -256,34 +266,34 @@ proptest! {
                 bytes: 256 * MB,
                 replicas: vec![NodeId(i as u32 % NODES), NodeId((i as u32 + 1) % NODES)],
             }];
-            inc.request_migration(JobId(i), reqs.clone(), EvictionMode::Implicit);
+            planned.request_migration(JobId(i), reqs.clone(), EvictionMode::Implicit);
             refr.request_migration(JobId(i), reqs, EvictionMode::Implicit);
         }
-        let first = inc.retarget();
+        let first = planned.retarget();
         refr.retarget();
         prop_assert_eq!(first.rescored, blocks as u64, "first pass rescans all");
-        assert_agree(&inc, &refr, 0);
-        // Nothing changed: the incremental pass must do no scoring work.
-        let steady = inc.retarget();
+        assert_agree(&planned, &refr, 0);
+        // Nothing changed: the production pass must do no scoring work.
+        let steady = planned.retarget();
         refr.retarget();
         prop_assert_eq!(steady.rescored, 0);
         prop_assert_eq!(steady.skipped, blocks as u64);
-        assert_agree(&inc, &refr, 1);
-        // One node drifts: only its replica holders (plus any cascade)
-        // may be rescored — never provably-unaffected entries.
-        inc.on_heartbeat_at(NodeId(0), 30.0 / BW, 64 * MB, SimTime::from_secs(1));
+        assert_agree(&planned, &refr, 1);
+        // One node drifts: its replica holders (plus any cascade) are
+        // rescored, by the plan walk or, when dense, the full walk.
+        planned.on_heartbeat_at(NodeId(0), 30.0 / BW, 64 * MB, SimTime::from_secs(1));
         refr.on_heartbeat_at(NodeId(0), 30.0 / BW, 64 * MB, SimTime::from_secs(1));
-        let drift = inc.retarget();
+        let drift = planned.retarget();
         refr.retarget();
         prop_assert!(drift.rescored >= 1 || blocks == 0);
-        assert_agree(&inc, &refr, 2);
+        assert_agree(&planned, &refr, 2);
     }
 }
 
 /// An FNV-1a digest of a drain: every (node, block, target-tier) triple
 /// pulled, in bind order. Two stores with identical pending state and
 /// identical decisions must replay identical digests.
-fn drain_digest(m: &mut Master) -> u64 {
+fn drain_digest(m: &mut Master, nodes: u32) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     let mut fold = |v: u64| {
         for b in v.to_be_bytes() {
@@ -294,7 +304,7 @@ fn drain_digest(m: &mut Master) -> u64 {
     for _ in 0..64 {
         m.retarget();
         let mut any = false;
-        for n in 0..NODES {
+        for n in 0..nodes {
             for mig in m.on_slave_pull(NodeId(n), 8) {
                 fold(n as u64);
                 fold(mig.block.0);
@@ -309,30 +319,31 @@ fn drain_digest(m: &mut Master) -> u64 {
     h
 }
 
+/// Production passes of the wide-cluster generator that took each path:
+/// the plan walk (no ceiling hit, some entries rescored and some
+/// skipped) and the dense fallback (one ceiling hit). Summed over all its
+/// cases.
+static PLAN_WALKS: AtomicU64 = AtomicU64::new(0);
+static DENSE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Shard-count sweep: the sharded engine at 1, 2, and 8 shards (the
-    /// last with a tight cascade ceiling, so the fallback rescan also
-    /// runs) against the incremental monolith, through random
-    /// admit / retarget / pull / complete / drift / evict sequences.
-    /// Identical targets and pulls at every step, identical drain
-    /// digests at the end.
-    #[test]
-    fn shard_counts_are_decision_identical(
+    /// Random admit / retarget / pull / complete / drift / evict
+    /// sequences on the wide cluster, where a pass dirtied by one or two
+    /// nodes stays under the density ceiling and runs the plan walk.
+    /// Identical targets and pulls at every step, identical drain digests
+    /// at the end.
+    fn wide_cluster_cases(
         order_sel in 0u8..3,
         ops in proptest::collection::vec(
-            (0u8..6, 0u32..NODES, 0u64..64, 1u64..40),
+            (0u8..8, 0u32..WIDE, 0u64..64, 1u64..40),
             1..80,
         ),
     ) {
         let order = order_of(order_sel);
-        let mut fleet = [
-            master_with(sched_cfg(SchedEngine::Incremental, 1, 0.0), order, false),
-            master_with(sched_cfg(SchedEngine::Sharded, 1, 0.0), order, false),
-            master_with(sched_cfg(SchedEngine::Sharded, 2, 0.0), order, false),
-            master_with(sched_cfg(SchedEngine::Sharded, 8, 0.1), order, false),
-        ];
+        let mut planned = master_with(SchedEngine::Planned, WIDE, order, false);
+        let mut refr = master_with(SchedEngine::Reference, WIDE, order, false);
         let mut clock = SimTime::ZERO;
         let mut next_block = 0u64;
         let mut next_job = 0u64;
@@ -341,111 +352,91 @@ proptest! {
             clock += SimDuration::from_secs(dt);
             let node = NodeId(node_sel);
             match op {
-                0 => {
+                // Admit 1–6 blocks, so the queue grows deep enough for
+                // single-node dirtiness to be sparse.
+                0 | 1 => {
                     let job = JobId(next_job);
                     next_job += 1;
-                    // Block ids jump in 64-id strides so admissions truly
-                    // spread across range shards.
-                    let reqs: Vec<BlockRequest> = (0..(pick % 3) + 1)
-                        .map(|k| {
-                            let b = next_block * 64 + k;
-                            next_block += 1;
-                            let r0 = (node_sel + k as u32) % NODES;
-                            BlockRequest {
-                                block: BlockId(b),
-                                bytes: (1 + (pick + k) % 8) * 64 * MB,
-                                replicas: vec![
-                                    NodeId(r0),
-                                    NodeId((r0 + 1 + (pick as u32 % 2)) % NODES),
-                                ],
-                            }
-                        })
-                        .collect();
-                    let hint = JobHint {
-                        expected_launch: clock + SimDuration::from_secs(pick % 30),
-                        total_bytes: (1 + pick % 10) * 256 * MB,
-                    };
-                    let first = fleet[0].request_migration_hinted(
+                    let (reqs, hint) =
+                        admission(WIDE, node_sel, pick, (pick % 6) + 1, &mut next_block, clock);
+                    let a = planned.request_migration_hinted(
                         job, reqs.clone(), EvictionMode::Implicit, hint);
-                    for m in &mut fleet[1..] {
-                        let got = m.request_migration_hinted(
-                            job, reqs.clone(), EvictionMode::Implicit, hint);
-                        prop_assert_eq!(&first, &got, "step {}: admit outcome", step);
-                    }
+                    let b = refr.request_migration_hinted(
+                        job, reqs, EvictionMode::Implicit, hint);
+                    prop_assert_eq!(a, b, "step {}: admit outcome", step);
                 }
-                1 => {
-                    for m in &mut fleet {
-                        m.retarget();
-                    }
-                }
-                2 => {
-                    let space = (pick as usize % 4) + 1;
-                    let first = fleet[0].on_slave_pull(node, space);
-                    for m in &mut fleet[1..] {
-                        let got = m.on_slave_pull(node, space);
-                        prop_assert_eq!(&first, &got, "step {}: pull diverged", step);
-                    }
-                    for mig in first {
-                        bound.push((node, mig.block));
-                    }
-                }
-                3 => {
-                    if !bound.is_empty() {
-                        let (n, b) = bound.swap_remove(pick as usize % bound.len());
-                        for m in &mut fleet {
-                            m.on_migration_complete(n, b);
-                        }
+                2 | 3 => {
+                    let st = planned.retarget();
+                    refr.retarget();
+                    if st.ceiling_hits == 1 {
+                        DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+                    } else if st.rescored > 0 && st.skipped > 0 {
+                        // (a pass with nothing dirty rescores nothing and
+                        // is neither walk)
+                        PLAN_WALKS.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 4 => {
+                    let space = (pick as usize % 4) + 1;
+                    let a = planned.on_slave_pull(node, space);
+                    let b = refr.on_slave_pull(node, space);
+                    prop_assert_eq!(&a, &b, "step {}: pull diverged", step);
+                    for mig in a {
+                        bound.push((node, mig.block));
+                    }
+                }
+                5 => {
+                    if !bound.is_empty() {
+                        let (n, b) = bound.swap_remove(pick as usize % bound.len());
+                        planned.on_migration_complete(n, b);
+                        refr.on_migration_complete(n, b);
+                    }
+                }
+                // A heartbeat moves one node's cost and backlog; a large
+                // move flips winners and cascades.
+                6 => {
                     let spb = (1.0 + (pick % 16) as f64) / BW;
                     let queued = (pick % 5) * 128 * MB;
-                    for m in &mut fleet {
-                        m.on_heartbeat_at(node, spb, queued, clock);
-                    }
+                    planned.on_heartbeat_at(node, spb, queued, clock);
+                    refr.on_heartbeat_at(node, spb, queued, clock);
                 }
                 _ => {
                     let j = JobId(pick % next_job.max(1));
-                    let first = fleet[0].evict_job(j);
-                    for m in &mut fleet[1..] {
-                        let got = m.evict_job(j);
-                        prop_assert_eq!(&first, &got, "step {}: evict nodes", step);
-                    }
+                    prop_assert_eq!(
+                        planned.evict_job(j),
+                        refr.evict_job(j),
+                        "step {}: evict nodes", step
+                    );
                 }
             }
-            let (oracle, rest) = fleet.split_first().expect("fleet non-empty");
-            for m in rest {
-                assert_agree(m, oracle, step);
-            }
+            assert_agree(&planned, &refr, step);
         }
-        // Per-shard depths must always re-add to the global depth.
-        for m in &fleet {
-            prop_assert_eq!(
-                m.sched_shard_depths().iter().sum::<usize>(),
-                m.pending_len()
-            );
-        }
-        // Drain everything: the complete bind order, digested, must be
-        // identical across every shard count.
-        let digests: Vec<u64> = fleet.iter_mut().map(drain_digest).collect();
-        for d in &digests[1..] {
-            prop_assert_eq!(digests[0], *d, "drain digests diverged");
-        }
+        prop_assert_eq!(
+            drain_digest(&mut planned, WIDE),
+            drain_digest(&mut refr, WIDE),
+            "drain digests diverged"
+        );
     }
 }
 
 #[test]
+fn plan_walk_and_dense_fallback_are_decision_identical() {
+    wide_cluster_cases();
+    // Both production paths must have been exercised across the cases,
+    // or the generator no longer tests what it claims to.
+    let walks = PLAN_WALKS.load(Ordering::Relaxed);
+    let fallbacks = DENSE_FALLBACKS.load(Ordering::Relaxed);
+    assert!(walks > 0, "no pass ran the plan walk");
+    assert!(fallbacks > 0, "no pass fell back to the full walk");
+}
+
+#[test]
 fn cascade_ceiling_falls_back_without_changing_decisions() {
-    // Arm an absurdly low ceiling and dirty every node: the sharded pass
-    // must bail to the reference rescan (ceiling_hits = 1) and still
-    // produce exactly the reference decisions; un-armed (0.0) it must
-    // never bail.
-    let run = |ceiling: f64| -> (Master, u64) {
-        let mut m = master_with(
-            sched_cfg(SchedEngine::Sharded, 4, ceiling),
-            MigrationOrder::Fifo,
-            false,
-        );
+    // Dirty every node: the visit plan covers the whole queue, so the
+    // production pass must hand off to the full walk (ceiling_hits = 1)
+    // and still produce exactly the reference decisions.
+    let run = |engine: SchedEngine| -> (Master, u64) {
+        let mut m = master_with(engine, NODES, MigrationOrder::Fifo, false);
         for i in 0..200u64 {
             let reqs = vec![BlockRequest {
                 block: BlockId(i * 64),
@@ -455,7 +446,6 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
             m.request_migration(JobId(i), reqs, EvictionMode::Implicit);
         }
         m.retarget();
-        // every node drifts → the visit plan covers the whole queue
         for n in 0..NODES {
             m.on_heartbeat_at(
                 NodeId(n),
@@ -467,13 +457,16 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
         let stats = m.retarget();
         (m, stats.ceiling_hits)
     };
-    let (mut armed, hits_armed) = run(0.05);
-    let (mut unarmed, hits_unarmed) = run(0.0);
-    assert_eq!(hits_armed, 1, "the tight ceiling must trigger the rescan");
-    assert_eq!(hits_unarmed, 0, "ceiling 0.0 means the check is off");
-    let blocks: Vec<BlockId> = armed.pending_block_ids().collect();
+    let (mut planned, hits) = run(SchedEngine::Planned);
+    let (mut refr, ref_hits) = run(SchedEngine::Reference);
+    assert_eq!(hits, 1, "a fleet-wide drift must trip the ceiling");
+    assert_eq!(ref_hits, 0, "the reference pass has no ceiling");
+    let blocks: Vec<BlockId> = planned.pending_block_ids().collect();
     for b in blocks {
-        assert_eq!(armed.target_of(b), unarmed.target_of(b), "{b:?}");
+        assert_eq!(planned.target_of(b), refr.target_of(b), "{b:?}");
     }
-    assert_eq!(drain_digest(&mut armed), drain_digest(&mut unarmed));
+    assert_eq!(
+        drain_digest(&mut planned, NODES),
+        drain_digest(&mut refr, NODES)
+    );
 }

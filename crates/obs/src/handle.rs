@@ -325,7 +325,7 @@ impl ObsHandle {
     /// Record one Algorithm 1 retarget pass. The recorder assigns the
     /// monotone pass index, timestamps, and the pass-level rescored /
     /// skipped counts; callers fill everything else. `records` covers the
-    /// rescored entries only — the incremental engine proves skipped
+    /// rescored entries only — the scheduler's plan walk proves skipped
     /// entries unchanged, so their previous records remain authoritative.
     pub fn retarget_pass(&self, mut records: Vec<ProvenanceRecord>, rescored: u64, skipped: u64) {
         if let Some(inner) = &self.0 {

@@ -249,18 +249,14 @@ impl Simulation {
             let health = self.master.check_health(self.now);
             self.apply_health_report(health);
         }
-        self.master.retarget();
-        // Scheduler health gauges, one series key per range shard: how
-        // much of the pass each shard rescored, and the depth it was
-        // working against. A one-shard store emits exactly the legacy
-        // key-0 series.
+        let stats = self.master.retarget();
+        // Scheduler health gauges (series key 0): how much of the pass
+        // was rescored, and the depth it was working against.
         if self.obs.is_enabled() {
-            let rescored = self.master.sched_shard_rescored().to_vec();
-            let depths = self.master.sched_shard_depths();
-            for (s, (r, d)) in rescored.iter().zip(&depths).enumerate() {
-                self.obs.gauge("sched.dirty_entries", s as u64, *r as f64);
-                self.obs.gauge("sched.pending_depth", s as u64, *d as f64);
-            }
+            self.obs
+                .gauge("sched.dirty_entries", 0, stats.rescored as f64);
+            self.obs
+                .gauge("sched.pending_depth", 0, self.master.pending_len() as f64);
         }
         self.queue
             .schedule(self.now + self.cfg.dyrs.retarget_interval, Ev::Retarget);
@@ -336,35 +332,39 @@ impl Simulation {
     /// path, §IV-A1) and the master forwards the missed-read signal to any
     /// slave it bound the block's migration to.
     pub(crate) fn notify_read(&mut self, block: BlockId, job: JobId, served_by: NodeId) {
-        let mut notified = [false; 64];
         // `forwarded` marks master-relayed notifications, which travel the
         // wire under `WireMode::Loopback`; the serving slave sees the read
         // directly on its own data path, so that one never hits the wire.
-        let mut notify = |sim: &mut Simulation, n: NodeId, forwarded: bool| {
-            if !notified[n.index()] {
-                notified[n.index()] = true;
-                let (block, job) = if forwarded {
-                    sim.wire.read_notify_to_slave(n, block, job)
-                } else {
-                    (block, job)
-                };
-                let evictions = sim.slaves[n.index()].on_read(block, job);
-                sim.apply_evictions(n, evictions);
-            }
+        let notify = |sim: &mut Simulation, n: NodeId, forwarded: bool| {
+            let (block, job) = if forwarded {
+                sim.wire.read_notify_to_slave(n, block, job)
+            } else {
+                (block, job)
+            };
+            let evictions = sim.slaves[n.index()].on_read(block, job);
+            sim.apply_evictions(n, evictions);
         };
         notify(self, served_by, false);
-        // Slaves holding the block queued or active (bound migrations).
-        let holders: Vec<NodeId> = (0..self.cluster.len() as u32)
-            .map(NodeId)
-            .filter(|&n| self.slaves[n.index()].has_pending(block))
-            .collect();
-        for n in holders {
+        // Slaves holding the block queued or active (bound migrations), in
+        // node order. Each node hears of the read once, so the holder list
+        // is kept (in a reused buffer) to dedupe the buffering host below.
+        let mut holders = std::mem::take(&mut self.read_holders);
+        holders.clear();
+        holders.extend(
+            (0..self.cluster.len() as u32)
+                .map(NodeId)
+                .filter(|&n| n != served_by && self.slaves[n.index()].has_pending(block)),
+        );
+        for &n in &holders {
             notify(self, n, true);
         }
         // The slave buffering the block (implicit eviction on remote reads).
         if let Some(host) = self.master.memory_location(block) {
-            notify(self, host, true);
+            if host != served_by && !holders.contains(&host) {
+                notify(self, host, true);
+            }
         }
+        self.read_holders = holders;
     }
 
     /// Apply slave-reported evictions: unregister everywhere and let the

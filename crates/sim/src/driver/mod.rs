@@ -135,6 +135,9 @@ pub struct Simulation {
     pub(crate) calib_inflight: Vec<bool>,
     /// Per-node time of the last estimator signal (migration or probe).
     pub(crate) last_estimate_signal: Vec<SimTime>,
+    /// Scratch for `notify_read`: the nodes holding a read block's bound
+    /// migration. Reused across reads, so a read allocates nothing.
+    pub(crate) read_holders: Vec<NodeId>,
     /// Observability recorder shared with the master and every slave
     /// (lifecycle spans, metrics registry, Algorithm 1 provenance). A
     /// zero-sized no-op without the `obs` feature.
@@ -294,6 +297,7 @@ impl Simulation {
             calib_start: vec![SimTime::ZERO; n],
             calib_inflight: vec![false; n],
             last_estimate_signal: vec![SimTime::ZERO; n],
+            read_holders: Vec::new(),
             obs,
             wire: wirelink::WireLink::new(cfg.wire, n),
             rng: rng.derive(3),

@@ -379,3 +379,22 @@ fn concurrent_jobs_share_the_cluster() {
     assert_eq!(r.jobs.len(), 6);
     assert!(r.failed_jobs.is_empty());
 }
+
+#[test]
+fn clusters_wider_than_64_nodes_run_end_to_end() {
+    // Read notifications once deduped nodes in a fixed 64-slot array, so
+    // the first read that touched node 64 panicked. A short DYRS job on
+    // 65 nodes must complete, with reads served from the widest nodes.
+    let mut cfg = SimConfig::paper_default(MigrationPolicy::Dyrs, 1);
+    cfg.cluster = dyrs_cluster::ClusterSpec::uniform(65);
+    cfg.files.push(FileSpec::new("input", 260 * BLOCK));
+    let job = JobSpec::map_only(JobId(0), "wide", SimTime::ZERO, vec!["input".into()]);
+    let r = Simulation::new(cfg, vec![job]).run();
+    assert_eq!(r.jobs.len(), 1);
+    assert!(r.failed_jobs.is_empty());
+    assert!(
+        r.reads.iter().any(|rd| rd.source.index() == 64),
+        "node 64 must serve reads"
+    );
+    assert!(r.master.completed > 0, "DYRS must migrate blocks");
+}

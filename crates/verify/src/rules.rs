@@ -307,23 +307,19 @@ pub fn check(
         }
 
         if rules.pending_fence && !in_test {
-            // `raw_pending` is the per-shard entry slab; `raw_shards` is
-            // the shard vector itself. Either one reached from outside
-            // the sched module bypasses the dirty-set bookkeeping.
-            if let Some(tok) = ["raw_pending", "raw_shards"]
-                .iter()
-                .find(|t| has_token(line, t))
-            {
+            // `raw_pending` is the scheduler's entry slab; reached from
+            // outside the sched module it bypasses the dirty-set
+            // bookkeeping.
+            if has_token(line, "raw_pending") {
                 findings.push(Finding {
                     rule: Rule::PendingFence,
                     path: path.to_owned(),
                     line: n,
                     excerpt: excerpt(n),
-                    message: format!(
-                        "raw pending-store access `{tok}` outside crates/core/src/sched; go \
-                         through the Scheduler API so its shard indexes and dirty-sets stay \
-                         consistent"
-                    ),
+                    message: "raw pending-store access `raw_pending` outside \
+                              crates/core/src/sched; go through the Scheduler API so its \
+                              indexes and dirty-sets stay consistent"
+                        .to_owned(),
                 });
             }
         }

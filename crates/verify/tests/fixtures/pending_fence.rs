@@ -5,7 +5,6 @@
 //! run).
 
 // for e in master.sched.raw_pending.iter() {}  <- comment: must not fire
-// let n = sched.raw_shards.len();  <- comment: must not fire
 
 pub fn iterates_raw_store(sched: &Scheduler) -> usize {
     // pending-fence: the slab's indexes and dirty-sets drift if callers
@@ -18,22 +17,11 @@ pub fn mutates_raw_slot(sched: &mut Scheduler) {
     sched.raw_pending[0] = None;
 }
 
-pub fn iterates_the_shard_vector(sched: &Scheduler) -> usize {
-    // pending-fence: the shard vector is as raw as the slab — walking it
-    // from outside the module reads entries the dirty-sets don't cover.
-    sched.raw_shards.iter().map(|s| s.len()).sum()
-}
-
-pub fn indexes_a_shard_directly(sched: &mut Scheduler) {
-    // pending-fence: single-shard reach-around, same hazard.
-    sched.raw_shards[0].queue.clear();
-}
-
 pub fn says_raw_pending_in_a_string() -> &'static str {
     "raw_pending is only prose here and must not fire"
 }
 
-pub fn a_rawer_identifier_is_fine(raw_pending_depth: usize, raw_shards_hint: usize) -> usize {
-    // not the tokens themselves: identifier boundaries must hold
-    raw_pending_depth + raw_shards_hint
+pub fn a_rawer_identifier_is_fine(raw_pending_depth: usize) -> usize {
+    // not the token itself: identifier boundaries must hold
+    raw_pending_depth
 }
