@@ -305,8 +305,38 @@ fn trace_exports_are_byte_identical_across_reruns() {
             !a.events.is_empty() && !a.provenance.is_empty(),
             "an obs-enabled drill run must record spans and provenance"
         );
+        // Cross-commit, not merely cross-rerun: the recorder's internals
+        // may change, what it records may not.
+        let pin = |s: String| (s.len(), fnv1a(s.as_bytes()));
+        assert_eq!(pin(a.spans_jsonl()), DRILL_SPANS_PIN, "spans.jsonl");
+        assert_eq!(pin(a.metrics_jsonl()), DRILL_METRICS_PIN, "metrics.jsonl");
+        assert_eq!(
+            pin(a.provenance_jsonl()),
+            DRILL_PROVENANCE_PIN,
+            "provenance.jsonl"
+        );
+        assert_eq!(pin(a.chrome_trace_json()), DRILL_TRACE_PIN, "trace.json");
     }
 }
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// `(byte length, FNV-1a)` of each export of the drill run in
+/// `trace_exports_are_byte_identical_across_reruns`, captured on the
+/// commit before the recorder moved to a paged span table and a columnar
+/// provenance log.
+const DRILL_SPANS_PIN: (usize, u64) = (4_807, 0x8C70_F9E0_BFEF_57ED);
+/// `metrics.jsonl` of the same run.
+const DRILL_METRICS_PIN: (usize, u64) = (109_359, 0x0E2C_87DC_A52E_03BC);
+/// `provenance.jsonl` of the same run.
+const DRILL_PROVENANCE_PIN: (usize, u64) = (2_351, 0xF379_59F7_59F1_BC80);
+/// `trace.json` of the same run.
+const DRILL_TRACE_PIN: (usize, u64) = (659_689, 0x7BA3_9CD8_152B_8963);
 
 #[test]
 fn scraping_is_invisible_to_determinism() {
