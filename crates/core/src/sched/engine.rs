@@ -60,8 +60,7 @@
 
 use super::{Entry, Pos, RetargetStats, SchedEngine, Scheduler, CASCADE_CEILING};
 use dyrs_cluster::NodeId;
-use dyrs_obs::{CandidateScore, ObsHandle, ProvenanceRecord};
-use simkit::SimTime;
+use dyrs_obs::{CandidateScore, ObsHandle};
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
 
@@ -224,13 +223,6 @@ impl Scheduler {
             .map(|(spb, queued)| spb * queued)
             .collect();
         let total = self.queue.len() as u64;
-        // Decision provenance is recording-only; skip all of it (including
-        // the per-entry candidate vectors) when nothing is listening.
-        let recording = obs.is_enabled();
-        let mut provenance: Vec<ProvenanceRecord> = Vec::new();
-        if recording {
-            provenance.reserve_exact(self.queue.len());
-        }
         for &pos in &self.queue {
             let entry = self.raw_pending[pos.1]
                 .as_mut()
@@ -258,16 +250,12 @@ impl Scheduler {
             if let Some((f, _, w, _)) = best {
                 finish[w.index()] = f;
             }
-            if recording {
-                provenance.push(provenance_record(entry));
-            }
+            record_provenance(obs, entry);
         }
         // A full pass leaves nothing stale.
         self.dirty_nodes.clear();
         self.dirty_entries.clear();
-        if recording {
-            obs.retarget_pass(provenance, total, 0);
-        }
+        obs.retarget_pass(total, 0);
         RetargetStats {
             rescored: total,
             skipped: 0,
@@ -290,12 +278,9 @@ impl Scheduler {
     ///   path allocates nothing per entry.
     fn pass_planned(&mut self, obs: &ObsHandle) -> RetargetStats {
         let total = self.queue.len() as u64;
-        let recording = obs.is_enabled();
         if self.dirty_nodes.is_empty() && self.dirty_entries.is_empty() {
             // Steady state: nothing moved, every cached decision stands.
-            if recording {
-                obs.retarget_pass(Vec::new(), 0, total);
-            }
+            obs.retarget_pass(0, total);
             return RetargetStats {
                 rescored: 0,
                 skipped: total,
@@ -358,10 +343,6 @@ impl Scheduler {
         // Cascade growth, for the mid-pass ceiling check.
         let mut grown = 0usize;
         let mut rescored = 0u64;
-        let mut provenance: Vec<ProvenanceRecord> = Vec::new();
-        if recording {
-            provenance.reserve(plan.len());
-        }
         // Cursor into `plan`, and the touch-sweep frontier. The sweep
         // streams the next block of planned slots through a tight,
         // dependency-free loop so the core keeps many cache misses in
@@ -478,9 +459,7 @@ impl Scheduler {
                 entry.tier_of[rank] = tier;
             }
             commit(entry, &mut self.targeted, pos, best, obs);
-            if recording {
-                provenance.push(provenance_record(entry));
-            }
+            record_provenance(obs, entry);
             // Charge the winner to its node's live trajectory (the clean
             // same-winner case needs no update: the cached chain already
             // carries this exact score forward).
@@ -500,9 +479,7 @@ impl Scheduler {
         self.dirty_nodes.clear();
         self.dirty_entries.clear();
         let skipped = total - rescored;
-        if recording {
-            obs.retarget_pass(provenance, rescored, skipped);
-        }
+        obs.retarget_pass(rescored, skipped);
         RetargetStats {
             rescored,
             skipped,
@@ -513,28 +490,27 @@ impl Scheduler {
     /// Hand a dense pass to the full walk. Any targets an abandoned plan
     /// walk committed are recomputed identically (so no duplicate
     /// `migration_targeted` events fire — the winners already match);
-    /// partial provenance is discarded in favor of the full batch.
+    /// the provenance it staged is discarded in favor of the full batch.
     fn finish_at_ceiling(&mut self, obs: &ObsHandle) -> RetargetStats {
         obs.counter_add("sched.cascade_ceiling", 1);
+        obs.provenance_discard();
         let mut stats = self.pass_reference(obs);
         stats.ceiling_hits = 1;
         stats
     }
 }
 
-/// A provenance record for one scored entry, with candidates in
-/// `(node, rank)` order. Pass index, timestamps, and the pass-level
-/// rescored/skipped counts are stamped by the recorder.
-fn provenance_record(entry: &Entry) -> ProvenanceRecord {
-    // Exact capacity: the recorder keeps every record for the whole run.
-    let finite = entry.scores.iter().filter(|s| s.is_finite()).count();
-    let mut candidates: Vec<CandidateScore> = Vec::with_capacity(finite);
-    candidates.extend(
-        entry
-            .migration
-            .replicas
-            .iter()
-            .enumerate()
+/// Stream one scored entry into the pass's provenance batch: every
+/// candidate with a finite score, and the committed winner. The candidate
+/// iterator is lazy, so an unconnected handle costs nothing here.
+fn record_provenance(obs: &ObsHandle, entry: &Entry) {
+    let replicas = entry.migration.replicas.iter().enumerate();
+    obs.provenance_push(
+        entry.migration.id.0,
+        entry.migration.block,
+        entry.migration.bytes,
+        entry.target,
+        replicas
             .filter(|&(rank, _)| entry.scores[rank].is_finite())
             .map(|(rank, loc)| CandidateScore {
                 node: loc.0,
@@ -543,16 +519,4 @@ fn provenance_record(entry: &Entry) -> ProvenanceRecord {
                 tier: entry.tier_of[rank],
             }),
     );
-    candidates.sort_unstable_by_key(|c| (c.node, c.rank));
-    ProvenanceRecord {
-        at: SimTime::ZERO, // recorder stamps time + pass
-        pass: 0,
-        migration: entry.migration.id.0,
-        block: entry.migration.block.0,
-        bytes: entry.migration.bytes,
-        candidates,
-        winner: entry.target.map(|n| n.0),
-        rescored: 0,
-        skipped: 0,
-    }
 }

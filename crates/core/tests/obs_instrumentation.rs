@@ -204,7 +204,7 @@ fn provenance_explains_algorithm1_placement() {
 
     let report = obs.take_report();
     assert_eq!(report.provenance.len(), 1);
-    let rec = &report.provenance[0];
+    let rec = report.provenance.iter().next().expect("one record");
     assert_eq!(rec.migration, 0);
     assert_eq!(rec.block, 1);
     assert_eq!(rec.candidates.len(), 3);

@@ -12,10 +12,17 @@
 //! one or two dirty nodes stay under it, so the sorted plan walk and its
 //! cascade face the same scrutiny. This is the executable form of the
 //! equivalence argument in `crates/core/src/sched/engine.rs`.
+//!
+//! With the `obs` feature the wide-cluster generator and the ceiling test
+//! also compare decision provenance: each production pass must record one
+//! record per entry it rescored, identical to the reference pass's record
+//! for that migration.
 
 use dyrs::master::{BlockRequest, JobHint, Master};
 use dyrs::types::EvictionMode;
-use dyrs::{MigrationOrder, MigrationPolicy, SchedEngine, SchedulerConfig};
+use dyrs::{
+    MigrationOrder, MigrationPolicy, ObsHandle, RetargetStats, SchedEngine, SchedulerConfig,
+};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use proptest::prelude::*;
@@ -42,6 +49,71 @@ fn master_with(engine: SchedEngine, nodes: u32, order: MigrationOrder, detector:
     }
     m
 }
+
+/// Attach a fresh recorder to `m` and return it.
+fn observed(mut m: Master) -> (Master, ObsHandle) {
+    let obs = ObsHandle::new();
+    m.attach_obs(obs.clone());
+    (m, obs)
+}
+
+/// Per provenance record: the migration, block, bytes, candidates as
+/// `(node, rank, score bits, tier)` in recorded order, and the winner.
+#[cfg(feature = "obs")]
+type Decision = (u64, u64, u64, Vec<(u32, u32, u64, u8)>, Option<u32>);
+
+/// Drain the recorder and return the provenance recorded since the last
+/// drain.
+#[cfg(feature = "obs")]
+fn decisions(obs: &ObsHandle) -> Vec<Decision> {
+    let report = obs.take_report();
+    report
+        .provenance
+        .iter()
+        .map(|r| {
+            let candidates = r.candidates.iter();
+            let candidates = candidates
+                .map(|c| (c.node, c.rank, c.est_finish_secs.to_bits(), c.tier))
+                .collect();
+            (r.migration, r.block, r.bytes, candidates, r.winner)
+        })
+        .collect()
+}
+
+/// The provenance differential: the production pass's new batch against
+/// the reference pass's. One record per rescored entry, no migration
+/// twice, each equal to the reference record for its migration; a ceiling
+/// pass records the full walk's batch, so it must equal the reference
+/// batch outright.
+#[cfg(feature = "obs")]
+fn assert_batches_agree(planned: &ObsHandle, refr: &ObsHandle, st: RetargetStats, step: usize) {
+    let (batch, reference) = (decisions(planned), decisions(refr));
+    assert_eq!(
+        batch.len() as u64,
+        st.rescored,
+        "step {step}: one provenance record per rescored entry"
+    );
+    if st.ceiling_hits == 1 {
+        assert_eq!(batch, reference, "step {step}: ceiling pass batch");
+        return;
+    }
+    let mut by_id: std::collections::BTreeMap<u64, &Decision> =
+        reference.iter().map(|d| (d.0, d)).collect();
+    for d in &batch {
+        let want = by_id.remove(&d.0);
+        assert!(
+            want.is_some(),
+            "step {step}: migration {} recorded twice or never scored by the reference",
+            d.0
+        );
+        assert_eq!(Some(d), want, "step {step}: migration {} provenance", d.0);
+    }
+}
+
+/// Without the `obs` feature the recorders record nothing, so there is
+/// nothing to compare.
+#[cfg(not(feature = "obs"))]
+fn assert_batches_agree(_: &ObsHandle, _: &ObsHandle, _: RetargetStats, _: usize) {}
 
 /// Every observable both engines must agree on, plus a clean audit.
 fn assert_agree(planned: &Master, refr: &Master, step: usize) {
@@ -342,8 +414,8 @@ proptest! {
         ),
     ) {
         let order = order_of(order_sel);
-        let mut planned = master_with(SchedEngine::Planned, WIDE, order, false);
-        let mut refr = master_with(SchedEngine::Reference, WIDE, order, false);
+        let (mut planned, obs_p) = observed(master_with(SchedEngine::Planned, WIDE, order, false));
+        let (mut refr, obs_r) = observed(master_with(SchedEngine::Reference, WIDE, order, false));
         let mut clock = SimTime::ZERO;
         let mut next_block = 0u64;
         let mut next_job = 0u64;
@@ -368,6 +440,7 @@ proptest! {
                 2 | 3 => {
                     let st = planned.retarget();
                     refr.retarget();
+                    assert_batches_agree(&obs_p, &obs_r, st, step);
                     if st.ceiling_hits == 1 {
                         DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
                     } else if st.rescored > 0 && st.skipped > 0 {
@@ -435,8 +508,8 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
     // Dirty every node: the visit plan covers the whole queue, so the
     // production pass must hand off to the full walk (ceiling_hits = 1)
     // and still produce exactly the reference decisions.
-    let run = |engine: SchedEngine| -> (Master, u64) {
-        let mut m = master_with(engine, NODES, MigrationOrder::Fifo, false);
+    let run = |engine: SchedEngine| -> (Master, ObsHandle, RetargetStats) {
+        let (mut m, obs) = observed(master_with(engine, NODES, MigrationOrder::Fifo, false));
         for i in 0..200u64 {
             let reqs = vec![BlockRequest {
                 block: BlockId(i * 64),
@@ -446,6 +519,7 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
             m.request_migration(JobId(i), reqs, EvictionMode::Implicit);
         }
         m.retarget();
+        drop(obs.take_report());
         for n in 0..NODES {
             m.on_heartbeat_at(
                 NodeId(n),
@@ -455,12 +529,16 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
             );
         }
         let stats = m.retarget();
-        (m, stats.ceiling_hits)
+        (m, obs, stats)
     };
-    let (mut planned, hits) = run(SchedEngine::Planned);
-    let (mut refr, ref_hits) = run(SchedEngine::Reference);
-    assert_eq!(hits, 1, "a fleet-wide drift must trip the ceiling");
-    assert_eq!(ref_hits, 0, "the reference pass has no ceiling");
+    let (mut planned, obs_p, st) = run(SchedEngine::Planned);
+    let (mut refr, obs_r, ref_st) = run(SchedEngine::Reference);
+    assert_eq!(
+        st.ceiling_hits, 1,
+        "a fleet-wide drift must trip the ceiling"
+    );
+    assert_eq!(ref_st.ceiling_hits, 0, "the reference pass has no ceiling");
+    assert_batches_agree(&obs_p, &obs_r, st, 0);
     let blocks: Vec<BlockId> = planned.pending_block_ids().collect();
     for b in blocks {
         assert_eq!(planned.target_of(b), refr.target_of(b), "{b:?}");

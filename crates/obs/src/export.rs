@@ -104,15 +104,16 @@ impl ObsReport {
     /// Algorithm 1 provenance as JSONL: one migration scoring per line.
     pub fn provenance_jsonl(&self) -> String {
         let mut out = String::new();
-        for rec in &self.provenance {
+        for rec in self.provenance.records() {
+            let (pass, row) = (rec.pass, rec.row);
             let _ = write!(
                 out,
                 "{{\"at_us\":{},\"pass\":{},\"migration\":{},\"block\":{},\"bytes\":{},\"candidates\":[",
-                rec.at.as_micros(),
-                rec.pass,
-                rec.migration,
-                rec.block,
-                rec.bytes,
+                pass.at.as_micros(),
+                pass.pass,
+                row.migration,
+                row.block,
+                row.bytes,
             );
             for (i, c) in rec.candidates.iter().enumerate() {
                 if i > 0 {
@@ -129,10 +130,10 @@ impl ObsReport {
             let _ = writeln!(
                 out,
                 "],\"winner\":{},\"rescored\":{},\"skipped\":{}}}",
-                rec.winner
+                row.winner
                     .map_or_else(|| "null".to_owned(), |w| w.to_string()),
-                rec.rescored,
-                rec.skipped,
+                pass.rescored,
+                pass.skipped,
             );
         }
         out
@@ -215,7 +216,7 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{cause, CandidateScore, ProvenanceRecord, SpanEvent, SpanState};
+    use crate::span::{cause, CandidateScore, SpanEvent, SpanState};
     use simkit::SimTime;
 
     fn sample_report() -> ObsReport {
@@ -264,13 +265,12 @@ mod tests {
         let mut h = simkit::stats::Histogram::linear(0.0, 10.0, 2);
         h.observe(1.0);
         r.histograms.insert("migration.duration_secs", h);
-        r.provenance.push(ProvenanceRecord {
-            at: SimTime::from_secs(1),
-            pass: 0,
-            migration: 7,
-            block: 3,
-            bytes: 128,
-            candidates: vec![
+        r.provenance.push(
+            7,
+            3,
+            128,
+            Some(2),
+            [
                 CandidateScore {
                     node: 1,
                     rank: 1,
@@ -284,10 +284,8 @@ mod tests {
                     tier: 0,
                 },
             ],
-            winner: Some(2),
-            rescored: 1,
-            skipped: 3,
-        });
+        );
+        r.provenance.stamp(SimTime::from_secs(1), 0, 1, 3);
         r
     }
 

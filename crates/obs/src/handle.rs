@@ -5,7 +5,7 @@ use crate::snapshot::{
     FlightEntry, FlightRecord, GaugeSample, StatsSnapshot, FLIGHT_CAPACITY, MAX_AUTO_DUMPS,
     TOP_WINNERS,
 };
-use crate::span::{cause, ProvenanceRecord, SpanEvent, SpanState};
+use crate::span::{cause, CandidateScore, SpanEvent, SpanState};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::stats::{Histogram, TimeSeries};
@@ -14,15 +14,65 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-/// Per-migration facts remembered at request time so that every later
-/// span event is self-contained (carries block and size without the
-/// emitter having to thread them through).
-#[derive(Debug, Clone, Copy)]
-struct Meta {
+/// What the recorder remembers about one migration id, so that every span
+/// event is self-contained (carries block and size without the emitter
+/// having to thread them through) and the open-span census never walks
+/// the spans.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
     block: u64,
     bytes: u64,
     /// Destination buffer tier, known once the migration is bound.
     tier: Option<u8>,
+    /// Whether `migration_pending` introduced the id; only then do
+    /// `block`, `bytes` and `tier` describe it (a slave-side handle sees
+    /// ids it never saw requested, and records them as block 0, size 0).
+    known: bool,
+    /// The span's state while its last event is non-terminal.
+    open: Option<SpanState>,
+}
+
+/// Ids per span-table page.
+const PAGE: u64 = 256;
+
+/// Every migration id the recorder has seen, in pages of [`PAGE`]
+/// consecutive ids. The master mints ids densely, so pages fill up; a
+/// sparse id costs one small page.
+#[derive(Debug, Default)]
+struct SpanTable(BTreeMap<u64, Box<[Slot]>>);
+
+impl SpanTable {
+    fn slot(&mut self, id: u64) -> &mut Slot {
+        let page = self
+            .0
+            .entry(id / PAGE)
+            .or_insert_with(|| vec![Slot::default(); PAGE as usize].into_boxed_slice());
+        &mut page[(id % PAGE) as usize]
+    }
+
+    /// Ids whose last event is non-terminal, ascending.
+    fn open_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().flat_map(|(&page, slots)| {
+            slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.open.is_some())
+                .map(move |(i, _)| page * PAGE + i as u64)
+        })
+    }
+}
+
+/// The counter each recorded transition bumps.
+fn span_counter(state: SpanState) -> &'static str {
+    match state {
+        SpanState::Pending => "span.pending",
+        SpanState::Targeted => "span.targeted",
+        SpanState::Bound => "span.bound",
+        SpanState::Started => "span.started",
+        SpanState::Finished => "span.finished",
+        SpanState::Aborted => "span.aborted",
+        SpanState::Evicted => "span.evicted",
+    }
 }
 
 /// One flight-recorder ring entry. Borrowed statics only, so feeding the
@@ -42,13 +92,16 @@ struct FlightNote {
 struct Inner {
     now: SimTime,
     report: ObsReport,
-    meta: BTreeMap<u64, Meta>,
+    spans: SpanTable,
+    /// `span.*` counts since the last `take_report`, by state; folded into
+    /// the counters by `take_report` and `snapshot`.
+    span_counts: [u64; SpanState::ALL.len()],
+    /// Open spans by current state (the snapshot census).
+    open_counts: [u64; SpanState::ALL.len()],
     passes: u64,
-    /// Current state of every span with no terminal event yet, maintained
-    /// incrementally by `record` so the snapshot census is O(open spans).
-    open: BTreeMap<u64, SpanState>,
-    /// Algorithm 1 winner roll-up: node → times chosen across all passes.
-    wins: BTreeMap<u32, u64>,
+    /// Algorithm 1 winner roll-up: times chosen across all passes, by
+    /// node.
+    wins: Vec<u64>,
     /// Flight recorder ring of the last `FLIGHT_CAPACITY` transitions.
     flight: VecDeque<FlightNote>,
     /// Transitions that fell out of the ring.
@@ -113,8 +166,8 @@ impl ObsHandle {
     }
 
     /// Whether recording is active. Callers use this to skip building
-    /// recording-only payloads (e.g. provenance candidate vectors) on hot
-    /// paths.
+    /// recording-only payloads (e.g. a slave's estimate-error gauges) on
+    /// hot paths.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
@@ -138,12 +191,16 @@ impl ObsHandle {
         job: Option<u64>,
     ) {
         if let Some(inner) = &self.0 {
-            let mut inner = inner.borrow_mut();
-            let Meta { block, bytes, tier } = inner.meta.get(&migration).copied().unwrap_or(Meta {
-                block: 0,
-                bytes: 0,
-                tier: None,
-            });
+            let inner = &mut *inner.borrow_mut();
+            let slot = inner.spans.slot(migration);
+            if let Some(was) = slot.open {
+                inner.open_counts[was as usize] -= 1;
+            }
+            slot.open = (!state.is_terminal()).then_some(state);
+            if slot.open.is_some() {
+                inner.open_counts[state as usize] += 1;
+            }
+            let (block, bytes, tier) = (slot.block, slot.bytes, slot.tier);
             let at = inner.now;
             inner.report.events.push(SpanEvent {
                 at,
@@ -156,21 +213,7 @@ impl ObsHandle {
                 job,
                 tier,
             });
-            let counter = match state {
-                SpanState::Pending => "span.pending",
-                SpanState::Targeted => "span.targeted",
-                SpanState::Bound => "span.bound",
-                SpanState::Started => "span.started",
-                SpanState::Finished => "span.finished",
-                SpanState::Aborted => "span.aborted",
-                SpanState::Evicted => "span.evicted",
-            };
-            *inner.report.counters.entry(counter).or_insert(0) += 1;
-            if state.is_terminal() {
-                inner.open.remove(&migration);
-            } else {
-                inner.open.insert(migration, state);
-            }
+            inner.span_counts[state as usize] += 1;
             inner.flight_push(FlightNote {
                 at,
                 migration,
@@ -205,14 +248,12 @@ impl ObsHandle {
         why: &'static str,
     ) {
         if let Some(inner) = &self.0 {
-            inner.borrow_mut().meta.insert(
-                migration,
-                Meta {
-                    block: block.0,
-                    bytes,
-                    tier: None,
-                },
-            );
+            let mut inner = inner.borrow_mut();
+            let slot = inner.spans.slot(migration);
+            slot.block = block.0;
+            slot.bytes = bytes;
+            slot.tier = None;
+            slot.known = true;
         }
         self.record(migration, SpanState::Pending, None, why, job.map(|j| j.0));
     }
@@ -234,8 +275,10 @@ impl ObsHandle {
     /// the span, so every later event of this migration carries it.
     pub fn migration_bound(&self, migration: u64, node: NodeId, tier: u8, why: &'static str) {
         if let Some(inner) = &self.0 {
-            if let Some(meta) = inner.borrow_mut().meta.get_mut(&migration) {
-                meta.tier = Some(tier);
+            let mut inner = inner.borrow_mut();
+            let slot = inner.spans.slot(migration);
+            if slot.known {
+                slot.tier = Some(tier);
             }
         }
         self.record(migration, SpanState::Bound, Some(node), why, None);
@@ -322,27 +365,63 @@ impl ObsHandle {
         }
     }
 
-    /// Record one Algorithm 1 retarget pass. The recorder assigns the
-    /// monotone pass index, timestamps, and the pass-level rescored /
-    /// skipped counts; callers fill everything else. `records` covers the
-    /// rescored entries only — the scheduler's plan walk proves skipped
-    /// entries unchanged, so their previous records remain authoritative.
-    pub fn retarget_pass(&self, mut records: Vec<ProvenanceRecord>, rescored: u64, skipped: u64) {
+    /// Stage one entry an Algorithm 1 pass just scored: its candidate
+    /// replicas with their scores (the recorder orders them by
+    /// `(node, rank)`) and the chosen node, if any. The staged records
+    /// become one pass at the next [`ObsHandle::retarget_pass`].
+    pub fn provenance_push(
+        &self,
+        migration: u64,
+        block: BlockId,
+        bytes: u64,
+        winner: Option<NodeId>,
+        candidates: impl IntoIterator<Item = CandidateScore>,
+    ) {
         if let Some(inner) = &self.0 {
-            let mut inner = inner.borrow_mut();
+            let inner = &mut *inner.borrow_mut();
+            let winner = winner.map(|n| n.0);
+            inner
+                .report
+                .provenance
+                .push(migration, block.0, bytes, winner, candidates);
+            if let Some(w) = winner {
+                let w = w as usize;
+                if w >= inner.wins.len() {
+                    inner.wins.resize(w + 1, 0);
+                }
+                inner.wins[w] += 1;
+            }
+        }
+    }
+
+    /// Drop the records staged since the last pass: a plan walk that hands
+    /// over to the full walk mid-pass leaves its partial batch here.
+    pub fn provenance_discard(&self) {
+        if let Some(inner) = &self.0 {
+            let inner = &mut *inner.borrow_mut();
+            let wins = &mut inner.wins;
+            inner
+                .report
+                .provenance
+                .discard_staged(|w| wins[w as usize] -= 1);
+        }
+    }
+
+    /// Close one Algorithm 1 retarget pass: the records staged since the
+    /// last pass become this pass's batch. The recorder assigns the
+    /// monotone pass index, timestamps, and the pass-level rescored /
+    /// skipped counts. The batch covers the rescored entries only — the
+    /// scheduler's plan walk proves skipped entries unchanged, so their
+    /// previous records remain authoritative.
+    pub fn retarget_pass(&self, rescored: u64, skipped: u64) {
+        if let Some(inner) = &self.0 {
+            let inner = &mut *inner.borrow_mut();
             let pass = inner.passes;
             inner.passes += 1;
-            let at = inner.now;
-            for rec in &mut records {
-                rec.pass = pass;
-                rec.at = at;
-                rec.rescored = rescored;
-                rec.skipped = skipped;
-                if let Some(winner) = rec.winner {
-                    *inner.wins.entry(winner).or_insert(0) += 1;
-                }
-            }
-            inner.report.provenance.append(&mut records);
+            inner
+                .report
+                .provenance
+                .stamp(inner.now, pass, rescored, skipped);
             *inner.report.counters.entry("sched.rescored").or_insert(0) += rescored;
             *inner.report.counters.entry("sched.skipped").or_insert(0) += skipped;
         }
@@ -391,18 +470,7 @@ impl ObsHandle {
     /// ends in exactly one terminal event, whatever the run cut short.
     pub fn close_dangling(&self, why: &'static str) {
         let Some(inner) = &self.0 else { return };
-        let dangling: Vec<u64> = {
-            let inner = inner.borrow();
-            let mut seen = BTreeMap::new();
-            for ev in &inner.report.events {
-                let closed = seen.entry(ev.migration).or_insert(false);
-                *closed = *closed || ev.state.is_terminal();
-            }
-            seen.into_iter()
-                .filter(|&(_, closed)| !closed)
-                .map(|(id, _)| id)
-                .collect()
-        };
+        let dangling: Vec<u64> = inner.borrow().spans.open_ids().collect();
         for id in dangling {
             self.migration_aborted(id, None, why);
         }
@@ -414,9 +482,11 @@ impl ObsHandle {
     pub fn take_report(&self) -> ObsReport {
         match &self.0 {
             Some(inner) => {
-                let mut inner = inner.borrow_mut();
-                let report = std::mem::take(&mut inner.report);
+                let inner = &mut *inner.borrow_mut();
+                let mut report = std::mem::take(&mut inner.report);
                 inner.report.enabled = true;
+                fold_span_counts(&mut report.counters, &inner.span_counts);
+                inner.span_counts = Default::default();
                 report
             }
             None => ObsReport::default(),
@@ -433,11 +503,11 @@ impl ObsHandle {
             return StatsSnapshot::default();
         };
         let inner = inner.borrow();
-        let counters = inner
-            .report
-            .counters
-            .iter()
-            .map(|(name, v)| ((*name).to_owned(), *v))
+        let mut counters = inner.report.counters.clone();
+        fold_span_counts(&mut counters, &inner.span_counts);
+        let counters = counters
+            .into_iter()
+            .map(|(name, v)| (name.to_owned(), v))
             .collect();
         let gauges = inner
             .report
@@ -452,16 +522,17 @@ impl ObsHandle {
                 })
             })
             .collect();
-        let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for state in inner.open.values() {
-            *census.entry(state.name()).or_insert(0) += 1;
-        }
-        let open_spans = census
-            .into_iter()
-            .map(|(name, count)| (name.to_owned(), count))
+        let mut open_spans: Vec<(String, u64)> = SpanState::ALL
+            .iter()
+            .zip(inner.open_counts)
+            .filter(|&(_, count)| count > 0)
+            .map(|(state, count)| (state.name().to_owned(), count))
             .collect();
-        let mut top_winners: Vec<(u32, u64)> =
-            inner.wins.iter().map(|(&node, &won)| (node, won)).collect();
+        open_spans.sort();
+        let mut top_winners: Vec<(u32, u64)> = (0u32..)
+            .zip(inner.wins.iter().copied())
+            .filter(|&(_, won)| won > 0)
+            .collect();
         top_winners.sort_by_key(|&(node, won)| (std::cmp::Reverse(won), node));
         top_winners.truncate(TOP_WINNERS);
         StatsSnapshot {
@@ -517,6 +588,18 @@ impl ObsHandle {
     }
 }
 
+/// Add the non-zero `span.*` counts to `counters`.
+fn fold_span_counts(
+    counters: &mut BTreeMap<&'static str, u64>,
+    counts: &[u64; SpanState::ALL.len()],
+) {
+    for (&state, &n) in SpanState::ALL.iter().zip(counts) {
+        if n > 0 {
+            *counters.entry(span_counter(state)).or_insert(0) += n;
+        }
+    }
+}
+
 /// Bin layout per histogram name. Migration durations span ~ms (small
 /// blocks on fast disks) to hours (stragglers under interference), so the
 /// default is logarithmic.
@@ -530,7 +613,7 @@ fn histogram_for(name: &str) -> Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanState;
+    use crate::span::{ProvenanceRecord, SpanState};
 
     #[test]
     fn disconnected_handle_records_nothing() {
@@ -590,31 +673,25 @@ mod tests {
     fn retarget_pass_assigns_monotone_pass_index() {
         let h = ObsHandle::new();
         h.set_now(SimTime::from_secs(1));
-        let rec = |mig| ProvenanceRecord {
-            at: SimTime::ZERO,
-            pass: 0,
-            migration: mig,
-            block: mig,
-            bytes: 8,
-            candidates: Vec::new(),
-            winner: None,
-            rescored: 0,
-            skipped: 0,
-        };
-        h.retarget_pass(vec![rec(1), rec(2)], 2, 5);
+        let rec = |mig| h.provenance_push(mig, BlockId(mig), 8, None, []);
+        rec(1);
+        rec(2);
+        h.retarget_pass(2, 5);
         h.set_now(SimTime::from_secs(2));
-        h.retarget_pass(vec![rec(1)], 1, 6);
+        rec(1);
+        h.retarget_pass(1, 6);
         let r = h.take_report();
         assert_eq!(r.provenance.len(), 3);
-        assert_eq!(r.provenance[0].pass, 0);
-        assert_eq!(r.provenance[1].pass, 0);
-        assert_eq!(r.provenance[2].pass, 1);
-        assert_eq!(r.provenance[2].at, SimTime::from_secs(2));
+        let p: Vec<ProvenanceRecord> = r.provenance.iter().collect();
+        assert_eq!(p[0].pass, 0);
+        assert_eq!(p[1].pass, 0);
+        assert_eq!(p[2].pass, 1);
+        assert_eq!(p[2].at, SimTime::from_secs(2));
         // Pass-level work counts are stamped on every record and summed
         // into counters.
-        assert_eq!(r.provenance[0].rescored, 2);
-        assert_eq!(r.provenance[0].skipped, 5);
-        assert_eq!(r.provenance[2].rescored, 1);
+        assert_eq!(p[0].rescored, 2);
+        assert_eq!(p[0].skipped, 5);
+        assert_eq!(p[2].rescored, 1);
         assert_eq!(r.counter("sched.rescored"), 3);
         assert_eq!(r.counter("sched.skipped"), 11);
     }
@@ -659,27 +736,14 @@ mod tests {
     #[test]
     fn snapshot_rolls_up_top_provenance_winners() {
         let h = ObsHandle::new();
-        let rec = |mig, winner| ProvenanceRecord {
-            at: SimTime::ZERO,
-            pass: 0,
-            migration: mig,
-            block: mig,
-            bytes: 8,
-            candidates: Vec::new(),
-            winner,
-            rescored: 0,
-            skipped: 0,
+        let rec = |mig, winner: Option<u32>| {
+            h.provenance_push(mig, BlockId(mig), 8, winner.map(NodeId), []);
         };
-        h.retarget_pass(
-            vec![
-                rec(1, Some(4)),
-                rec(2, Some(4)),
-                rec(3, Some(1)),
-                rec(4, None),
-            ],
-            4,
-            0,
-        );
+        rec(1, Some(4));
+        rec(2, Some(4));
+        rec(3, Some(1));
+        rec(4, None);
+        h.retarget_pass(4, 0);
         let snap = h.snapshot();
         assert_eq!(snap.top_winners, vec![(4, 2), (1, 1)]);
     }

@@ -15,10 +15,11 @@
 //! 2. **Metrics registry**: typed counters, per-key gauge time series
 //!    (reusing [`simkit::stats::TimeSeries`]) sampled at heartbeat
 //!    boundaries, and histograms.
-//! 3. **Decision provenance** ([`ProvenanceRecord`]): each Algorithm 1
-//!    targeting pass records the candidate replica set with estimated
-//!    finish times and the chosen winner, so a misplacement is explainable
-//!    from the trace alone.
+//! 3. **Decision provenance** ([`ProvenanceLog`] of [`ProvenanceRecord`]s):
+//!    each Algorithm 1 targeting pass records, for every entry it
+//!    rescored, the candidate replica set with estimated finish times and
+//!    the chosen winner, so a misplacement is explainable from the trace
+//!    alone.
 //!
 //! Recording goes through [`ObsHandle`], a clonable handle the simulation
 //! driver attaches to the master and every slave. The handle is real only
@@ -43,7 +44,7 @@ pub mod rpc;
 mod snapshot;
 mod span;
 
-pub use report::ObsReport;
+pub use report::{ObsReport, ProvenanceLog};
 pub use snapshot::{
     FlightEntry, FlightRecord, GaugeSample, StatsSnapshot, FLIGHT_CAPACITY, MAX_AUTO_DUMPS,
     TOP_WINNERS,

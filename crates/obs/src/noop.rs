@@ -8,7 +8,7 @@
 
 use crate::report::ObsReport;
 use crate::snapshot::{FlightRecord, StatsSnapshot};
-use crate::span::ProvenanceRecord;
+use crate::span::CandidateScore;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::{SimDuration, SimTime};
@@ -91,9 +91,25 @@ impl ObsHandle {
     #[inline]
     pub fn tier_promoted(&self, _block: BlockId, _node: NodeId) {}
 
-    /// No-op (callers guard on `is_enabled()` and never build the records).
+    /// No-op; the candidates are never iterated.
     #[inline]
-    pub fn retarget_pass(&self, _records: Vec<ProvenanceRecord>, _rescored: u64, _skipped: u64) {}
+    pub fn provenance_push(
+        &self,
+        _migration: u64,
+        _block: BlockId,
+        _bytes: u64,
+        _winner: Option<NodeId>,
+        _candidates: impl IntoIterator<Item = CandidateScore>,
+    ) {
+    }
+
+    /// No-op.
+    #[inline]
+    pub fn provenance_discard(&self) {}
+
+    /// No-op.
+    #[inline]
+    pub fn retarget_pass(&self, _rescored: u64, _skipped: u64) {}
 
     /// No-op.
     #[inline]

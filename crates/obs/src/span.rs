@@ -38,6 +38,18 @@ pub enum SpanState {
 }
 
 impl SpanState {
+    /// Every state, in declaration order: `state as usize` indexes it.
+    #[cfg(any(feature = "enabled", test))]
+    pub(crate) const ALL: [SpanState; 7] = [
+        SpanState::Pending,
+        SpanState::Targeted,
+        SpanState::Bound,
+        SpanState::Started,
+        SpanState::Finished,
+        SpanState::Aborted,
+        SpanState::Evicted,
+    ];
+
     /// Whether this state ends the span.
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -221,15 +233,8 @@ mod tests {
 
     #[test]
     fn names_are_lowercase_and_distinct() {
-        let all = [
-            SpanState::Pending,
-            SpanState::Targeted,
-            SpanState::Bound,
-            SpanState::Started,
-            SpanState::Finished,
-            SpanState::Aborted,
-            SpanState::Evicted,
-        ];
+        let all = SpanState::ALL;
+        assert!(all.iter().enumerate().all(|(i, &s)| s as usize == i));
         let names: std::collections::BTreeSet<&str> = all.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), all.len());
         assert!(names.iter().all(|n| *n == n.to_lowercase()));

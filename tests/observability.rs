@@ -193,7 +193,7 @@ fn driver_provenance_explains_placements() {
         !r.obs.provenance.is_empty(),
         "retarget passes must record provenance"
     );
-    for rec in &r.obs.provenance {
+    for rec in r.obs.provenance.iter() {
         if rec.candidates.is_empty() {
             assert_eq!(rec.winner, None, "no candidates, no winner");
             continue;
@@ -220,5 +220,6 @@ fn driver_provenance_explains_placements() {
         assert!(rec.candidates.iter().any(|c| c.node == winner));
     }
     // Provenance pass indices never decrease across the run.
-    assert!(r.obs.provenance.windows(2).all(|w| w[0].pass <= w[1].pass));
+    let passes: Vec<u64> = r.obs.provenance.iter().map(|rec| rec.pass).collect();
+    assert!(passes.windows(2).all(|w| w[0] <= w[1]));
 }
