@@ -2,7 +2,8 @@
 //!
 //! Models the physical substrate the DYRS evaluation runs on: a set of
 //! nodes, each with a spinning disk (a fluid-share resource with
-//! concurrency degradation), a memory store, a memory bus, and a NIC.
+//! concurrency degradation), a memory bus, and a NIC. Migration-buffer
+//! accounting lives with each slave (`dyrs_tiers::TierStore`).
 //!
 //! The paper's testbed is 8 servers — 1 master + 7 workers — each with a
 //! 1 TB HDD, 128 GB RAM, and 10 GbE ([`NodeSpec::paper_default`] mirrors
@@ -25,11 +26,9 @@
 #![warn(missing_docs)]
 
 pub mod interference;
-pub mod memory;
 pub mod node;
 
 pub use interference::{InterferencePattern, InterferenceSchedule, Toggle, DD_WEIGHT};
-pub use memory::MemoryStore;
 pub use node::{Cluster, ClusterSpec, Node, NodeId, NodeSpec};
 
 /// Bytes in one mebibyte.

@@ -1,6 +1,5 @@
 //! Nodes and clusters.
 
-use crate::memory::MemoryStore;
 use dyrs_tiers::TierStackSpec;
 use serde::{Deserialize, Serialize};
 use simkit::FluidResource;
@@ -87,7 +86,8 @@ impl Default for NodeSpec {
     }
 }
 
-/// Live state of one node: three fluid resources plus memory accounting.
+/// Live state of one node: its fluid resources (disk, memory bus, NIC and
+/// one device per middle buffer tier) and whether it is up.
 #[derive(Debug)]
 pub struct Node {
     /// This node's id.
@@ -105,8 +105,6 @@ pub struct Node {
     /// `mid_tiers[t - 1]`. Empty on the legacy 2-tier stack, where
     /// memory (tier 0) is the only buffer and is served by `membus`.
     pub mid_tiers: Vec<FluidResource>,
-    /// Migration buffer accounting.
-    pub memory: MemoryStore,
     /// Whether the node (server) is up. A failed server serves nothing.
     pub up: bool,
 }
@@ -123,7 +121,6 @@ impl Node {
             membus: FluidResource::new(spec.membus_bw, 0.0),
             nic: FluidResource::new(spec.nic_bw, 0.0),
             mid_tiers,
-            memory: MemoryStore::new(spec.mem_capacity),
             spec,
             id,
             up: true,

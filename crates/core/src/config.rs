@@ -51,12 +51,6 @@ pub struct DyrsConfig {
     /// Pending-migration scheduler: which Algorithm 1 engine runs.
     #[serde(default)]
     pub scheduler: SchedulerConfig,
-    /// Up/down-tier decision policy on multi-tier buffer stacks: Baseline
-    /// reproduces the paper's memory-only reference-list protocol (with
-    /// demote-on-pressure retention), Hotness additionally promotes
-    /// middle-tier hits back into memory. Ignored on 2-tier stacks.
-    #[serde(default)]
-    pub tier_policy: dyrs_tiers::TierPolicyKind,
 }
 
 /// Which Algorithm 1 implementation the master's scheduler runs. Both are
@@ -211,7 +205,6 @@ impl Default for DyrsConfig {
             in_progress_refresh: default_true(),
             failure_detector: FailureDetectorConfig::default(),
             scheduler: SchedulerConfig::default(),
-            tier_policy: dyrs_tiers::TierPolicyKind::default(),
         }
     }
 }

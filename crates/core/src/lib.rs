@@ -46,7 +46,7 @@ pub use config::{DyrsConfig, FailureDetectorConfig, SchedEngine, SchedulerConfig
 pub use dyrs_obs as obs;
 pub use dyrs_obs::ObsHandle;
 pub use dyrs_tiers as tiers;
-pub use dyrs_tiers::{TierId, TierPolicy, TierPolicyKind, TierStackSpec};
+pub use dyrs_tiers::{TierId, TierStackSpec};
 pub use estimator::MigrationEstimator;
 pub use master::JobHint;
 pub use master::Master;

@@ -513,22 +513,6 @@ impl Master {
         self.sched.set_config(cfg);
     }
 
-    /// Declare `node`'s candidate destination tiers for tier-aware
-    /// Algorithm 1: ascending `(tier, write_factor)` pairs, where the
-    /// factor scales the candidate's own stream cost by the destination
-    /// tier's write bandwidth (1.0 = memory-speed). Hardware shape, not
-    /// soft state — it survives master checkpoint-restart like the node
-    /// table itself. The default everywhere is `[(0, 1.0)]`, which keeps
-    /// legacy 2-tier scoring bit-identical.
-    pub fn set_node_tiers(&mut self, node: NodeId, tiers: Vec<(u8, f64)>) {
-        self.sched.set_node_tiers(node.index(), tiers);
-    }
-
-    /// The node's eligible destination tiers as Algorithm 1 sees them.
-    pub fn node_tiers(&self, node: NodeId) -> &[(u8, f64)] {
-        self.sched.node_tiers(node.index())
-    }
-
     /// Push the master's live view of `node` — cost estimate, queued
     /// backlog, and candidacy (liveness ∧ detector health) — into the
     /// scheduler's scoring snapshot. Every mutation site calls this, so
@@ -731,7 +715,7 @@ impl Master {
                     self.stats.bound += 1;
                     self.ignem_bindings.insert(migration.block, node);
                     self.obs
-                        .migration_bound(migration.id.0, node, 0, cause::IGNEM_IMMEDIATE);
+                        .migration_bound(migration.id.0, node, cause::IGNEM_IMMEDIATE);
                     out.immediate.push(BoundMigration { migration, node });
                     self.sync_node(node);
                 } else {
@@ -783,20 +767,6 @@ impl Master {
             }
         }
         self.sync_node(node);
-    }
-
-    /// Record a batch of slave heartbeats at simulated time `now` in one
-    /// call. Semantically identical to [`Master::on_heartbeat_at`] per
-    /// report (same snapshot updates, same detector re-arms, in slice
-    /// order); the point is the call shape — the driver's batched mode
-    /// and the daemon's epoll loop hand the master a whole arrival window
-    /// at once, paying the wire/dispatch overhead once instead of per
-    /// node, and running the failure-detector sweep once afterwards
-    /// rather than per arrival.
-    pub fn on_heartbeat_batch(&mut self, reports: &[(NodeId, f64, u64)], now: SimTime) {
-        for &(node, spb, queued) in reports {
-            self.on_heartbeat_at(node, spb, queued, now);
-        }
     }
 
     /// Mark a slave up or down (mirrors the file system's liveness view).
@@ -1149,19 +1119,11 @@ impl Master {
         // popping past the `space.min(allow)` budget.
         let picked = self.sched.pull(node, targeted, now, space.min(allow));
         let mut taken = Vec::with_capacity(picked.len());
-        for mut entry in picked {
-            // Stamp the destination tier Algorithm 1 chose alongside the
-            // node, so the slave admits the stream against the right tier
-            // (always 0 = memory on the legacy 2-tier stack).
-            entry.migration.dest_tier = entry.target_tier;
+        for entry in picked {
             self.nodes[node.index()].queued_bytes += entry.migration.bytes as f64;
             self.stats.bound += 1;
-            self.obs.migration_bound(
-                entry.migration.id.0,
-                node,
-                entry.target_tier,
-                cause::HEARTBEAT_PULL,
-            );
+            self.obs
+                .migration_bound(entry.migration.id.0, node, cause::HEARTBEAT_PULL);
             if self.det[node.index()].health == NodeHealth::Probation {
                 self.det[node.index()].probation_block = Some(entry.migration.block);
             }

@@ -4,7 +4,7 @@
 //! plan walk's dense fallback.
 //!
 //! Both score exclusively from the scheduler's per-node snapshot
-//! (`snap_spb` / `snap_queued` / `snap_candidate` / `snap_tiers`) with the
+//! (`snap_spb` / `snap_queued` / `snap_candidate`) with the
 //! same winner rule — the strict minimum over `(est_finish, rank)` with
 //! `<` on the float score — so their decisions are bit-identical, not
 //! merely close.
@@ -64,8 +64,8 @@ use dyrs_obs::{CandidateScore, ObsHandle};
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
 
-/// A scored winner: `(score, rank, node, destination tier)`.
-type Winner = (f64, usize, NodeId, u8);
+/// A scored winner: `(score, rank, node)`.
+type Winner = (f64, usize, NodeId);
 
 /// The winner rule shared by both passes: strictly better score, or an
 /// exact score tie broken by placement rank (the first replica is the
@@ -75,33 +75,7 @@ type Winner = (f64, usize, NodeId, u8);
 /// scanned in.
 #[inline]
 fn better(candidate: f64, rank: usize, best: Option<Winner>) -> bool {
-    best.is_none_or(|(bf, br, _, _)| candidate < bf || (candidate == bf && rank < br))
-}
-
-/// One node's tier × replica scoring: the minimum candidate score over
-/// the node's eligible destination tiers, with exact ties kept on the
-/// lower (faster) tier because enumeration ascends and the comparison is
-/// strict. The write factor is exactly 1.0 for memory, and that branch
-/// adds the bare `base + work` term — bit-identical to the pre-tier
-/// arithmetic on every legacy (memory-only) snapshot.
-#[inline]
-fn tier_min(tiers: &[(u8, f64)], base: f64, work: f64) -> (f64, u8) {
-    let mut best = f64::INFINITY;
-    let mut best_tier = 0u8;
-    let mut first = true;
-    for &(tier, factor) in tiers {
-        let candidate = if factor == 1.0 {
-            base + work
-        } else {
-            base + work * factor
-        };
-        if first || candidate < best {
-            best = candidate;
-            best_tier = tier;
-            first = false;
-        }
-    }
-    (best, best_tier)
+    best.is_none_or(|(bf, br, _)| candidate < bf || (candidate == bf && rank < br))
 }
 
 /// Touch-sweep block size for the plan walk: how many upcoming planned
@@ -130,7 +104,7 @@ fn touch_entry(slab: &[Option<Entry>], idx: usize) {
     black_box(e.cache_valid);
 }
 
-/// Touch a slot's heap-side buffers (scores, tiers, replicas). Run as a
+/// Touch a slot's heap-side buffers (scores, replicas). Run as a
 /// second sweep over a block whose entry lines are already resident:
 /// the buffer pointers then come from cache and the buffer misses
 /// themselves pipeline, instead of serializing behind the slab miss.
@@ -141,7 +115,6 @@ fn touch_buffers(slab: &[Option<Entry>], idx: usize) {
         return;
     };
     black_box(e.scores.first().copied());
-    black_box(e.tier_of.first().copied());
     black_box(e.migration.replicas.first().copied());
 }
 
@@ -157,9 +130,8 @@ fn commit(
 ) {
     let old_target = entry.target;
     match best {
-        Some((f, _, node, tier)) => {
+        Some((f, _, node)) => {
             entry.target = Some(node);
-            entry.target_tier = tier;
             entry.winner_score = f;
             if old_target != Some(node) {
                 obs.migration_targeted(entry.migration.id.0, node);
@@ -167,7 +139,6 @@ fn commit(
         }
         None => {
             entry.target = None; // all replicas down right now
-            entry.target_tier = 0;
             entry.winner_score = f64::INFINITY;
         }
     }
@@ -233,21 +204,18 @@ impl Scheduler {
                 let i = loc.index();
                 if !self.snap_candidate[i] {
                     entry.scores[rank] = f64::INFINITY;
-                    entry.tier_of[rank] = 0;
                     continue;
                 }
-                let (score, tier) =
-                    tier_min(&self.snap_tiers[i], finish[i], self.snap_spb[i] * bytes);
+                let score = finish[i] + self.snap_spb[i] * bytes;
                 entry.scores[rank] = score;
-                entry.tier_of[rank] = tier;
                 if better(score, rank, best) {
-                    best = Some((score, rank, loc, tier));
+                    best = Some((score, rank, loc));
                 }
             }
             commit(entry, &mut self.targeted, pos, best, obs);
             // Charge the winner to its node's trajectory: later entries
             // queue behind it.
-            if let Some((f, _, w, _)) = best {
+            if let Some((f, _, w)) = best {
                 finish[w.index()] = f;
             }
             record_provenance(obs, entry);
@@ -354,8 +322,8 @@ impl Scheduler {
         // are evicted again before the cursor reaches them).
         let mut pi = 0usize;
         let mut swept = 0usize;
-        // Reusable per-visit score scratch (rank → (score, tier)).
-        let mut scratch: Vec<(f64, u8)> = Vec::new();
+        // Reusable per-visit score scratch (rank → score).
+        let mut scratch: Vec<f64> = Vec::new();
         loop {
             if swept < plan.len() && swept < pi + TOUCH_BLOCK / 2 {
                 let hi = (pi + TOUCH_BLOCK).min(plan.len());
@@ -403,33 +371,25 @@ impl Scheduler {
             for (rank, &loc) in entry.migration.replicas.iter().enumerate() {
                 let i = loc.index();
                 if !self.snap_candidate[i] {
-                    scratch.push((f64::INFINITY, 0));
+                    scratch.push(f64::INFINITY);
                     continue;
                 }
-                let (score, tier) = match finish[i] {
+                let score = match finish[i] {
                     // Node in motion: live trajectory, like the reference.
-                    Some(f) => tier_min(&self.snap_tiers[i], f, self.snap_spb[i] * bytes),
-                    // Clean node: the cached tier minimum is exact (a
-                    // tier-set change dirties the node, so a clean node's
-                    // eligible tiers are unchanged).
-                    None if had_cache && entry.scores[rank].is_finite() => {
-                        (entry.scores[rank], entry.tier_of[rank])
-                    }
+                    Some(f) => f + self.snap_spb[i] * bytes,
+                    // Clean node: the cached score is exact.
+                    None if had_cache && entry.scores[rank].is_finite() => entry.scores[rank],
                     // Never scored here (new admission, or a candidacy
                     // flip that dirtied the node in any case): materialize
                     // from the targeted index.
-                    None => tier_min(
-                        &self.snap_tiers[i],
-                        self.finish_before(i, pos),
-                        self.snap_spb[i] * bytes,
-                    ),
+                    None => self.finish_before(i, pos) + self.snap_spb[i] * bytes,
                 };
-                scratch.push((score, tier));
+                scratch.push(score);
                 if better(score, rank, best) {
-                    best = Some((score, rank, loc, tier));
+                    best = Some((score, rank, loc));
                 }
             }
-            let new_target = best.map(|(_, _, n, _)| n);
+            let new_target = best.map(|(_, _, n)| n);
             // A winner moving on or off a *clean* node changes that node's
             // trajectory for every later queue position: switch the node
             // to live accounting (seeded from the exact cached state just
@@ -454,16 +414,13 @@ impl Scheduler {
             let entry = self.raw_pending[pos.1]
                 .as_mut()
                 .expect("visited slots are live");
-            for (rank, &(score, tier)) in scratch.iter().enumerate() {
-                entry.scores[rank] = score;
-                entry.tier_of[rank] = tier;
-            }
+            entry.scores.copy_from_slice(&scratch);
             commit(entry, &mut self.targeted, pos, best, obs);
             record_provenance(obs, entry);
             // Charge the winner to its node's live trajectory (the clean
             // same-winner case needs no update: the cached chain already
             // carries this exact score forward).
-            if let Some((f, _, w, _)) = best {
+            if let Some((f, _, w)) = best {
                 if let Some(live) = &mut finish[w.index()] {
                     *live = f;
                 }
@@ -516,7 +473,6 @@ fn record_provenance(obs: &ObsHandle, entry: &Entry) {
                 node: loc.0,
                 rank: rank as u32,
                 est_finish_secs: entry.scores[rank],
-                tier: entry.tier_of[rank],
             }),
     );
 }

@@ -92,18 +92,10 @@ pub(crate) struct Entry {
     pub(crate) hint: JobHint,
     /// Retry backoff: the entry may not bind before this instant.
     pub(crate) not_before: SimTime,
-    /// Destination buffer tier of the current winner (tier-aware
-    /// Algorithm 1 scores tier × replica pairs; this is the tier half of
-    /// the winning pair). 0 whenever only memory is eligible.
-    pub(crate) target_tier: u8,
     /// Cached per-replica finish-time scores from the last pass that
     /// visited this entry, aligned with `migration.replicas` (∞ for
-    /// non-candidates). Each is already the minimum over the node's
-    /// eligible destination tiers. Valid only while `cache_valid`.
+    /// non-candidates). Valid only while `cache_valid`.
     scores: Vec<f64>,
-    /// The destination tier behind each cached score, aligned with
-    /// `scores` (which tier won the per-rank tier minimum).
-    tier_of: Vec<u8>,
     /// The winner's cached score (∞ when untargeted); this is the node's
     /// finish-time trajectory *at this queue position*, which is what the
     /// plan walk reads back via the `targeted` index.
@@ -158,11 +150,6 @@ pub(crate) struct Scheduler {
     snap_queued: Vec<f64>,
     /// Per-node scoring snapshot: Algorithm 1 candidacy (up && targetable).
     snap_candidate: Vec<bool>,
-    /// Per-node scoring snapshot: eligible destination buffer tiers as
-    /// `(tier, write_factor)` pairs in ascending tier order. The legacy
-    /// default is `[(0, 1.0)]` — memory only, factor exactly 1.0, which
-    /// keeps every score bit-identical to the pre-tier arithmetic.
-    snap_tiers: Vec<Vec<(u8, f64)>>,
     /// Nodes whose snapshot changed since the last pass.
     dirty_nodes: BTreeSet<usize>,
 }
@@ -185,7 +172,6 @@ impl Scheduler {
             snap_spb: vec![default_spb; num_nodes],
             snap_queued: vec![0.0; num_nodes],
             snap_candidate: vec![true; num_nodes],
-            snap_tiers: vec![vec![(0, 1.0)]; num_nodes],
             dirty_nodes: BTreeSet::new(),
         }
     }
@@ -238,26 +224,6 @@ impl Scheduler {
         }
     }
 
-    /// Update a node's eligible destination tiers (tier hardware is
-    /// static, but the active tier policy picks which tiers Algorithm 1
-    /// may target). A change dirties the node like any snapshot change.
-    pub(crate) fn set_node_tiers(&mut self, node: usize, tiers: Vec<(u8, f64)>) {
-        debug_assert!(
-            tiers.windows(2).all(|w| w[0].0 < w[1].0),
-            "destination tiers must be ascending and distinct"
-        );
-        debug_assert!(!tiers.is_empty(), "a node needs at least one dest tier");
-        if self.snap_tiers[node] != tiers {
-            self.snap_tiers[node] = tiers;
-            self.dirty_nodes.insert(node);
-        }
-    }
-
-    /// The node's eligible destination tiers (exposed for auditing).
-    pub(crate) fn node_tiers(&self, node: usize) -> &[(u8, f64)] {
-        &self.snap_tiers[node]
-    }
-
     /// The node's scoring snapshot, `(spb, queued_bytes, candidate)`
     /// (exposed for auditing).
     pub(crate) fn node_snapshot(&self, node: usize) -> (f64, f64, bool) {
@@ -290,9 +256,7 @@ impl Scheduler {
             seq,
             hint,
             not_before,
-            target_tier: 0,
             scores: vec![f64::INFINITY; replicas],
-            tier_of: vec![0; replicas],
             winner_score: f64::INFINITY,
             cache_valid: false,
         };
@@ -394,9 +358,7 @@ impl Scheduler {
             *q = 0.0;
         }
         // Candidacy resets with the detector state (everyone healthy); the
-        // master re-syncs liveness right after. `snap_tiers` survives the
-        // restart untouched: tier stacks are hardware configuration, not
-        // soft state.
+        // master re-syncs liveness right after.
         for c in &mut self.snap_candidate {
             *c = true;
         }
@@ -615,11 +577,6 @@ mod tests {
         Scheduler::new(4, 1.0 / (140.0 * (1u64 << 20) as f64))
     }
 
-    fn entry_of(s: &Scheduler, b: u64) -> &Entry {
-        let idx = *s.by_block.get(&BlockId(b)).expect("pending");
-        s.raw_pending[idx].as_ref().expect("live slot")
-    }
-
     #[test]
     fn insert_remove_roundtrip_keeps_indexes_clean() {
         let mut s = sched();
@@ -708,51 +665,6 @@ mod tests {
         let mut report = AuditReport::new();
         s.audit(&mut report);
         assert!(report.is_clean(), "{report:?}");
-    }
-
-    #[test]
-    fn tier_aware_scoring_carries_the_destination_tier() {
-        let mut s = sched();
-        // Node 0's policy offers only NVMe (tier 1, writes 2× slower than
-        // the disk read); node 1 keeps the default memory-only set.
-        s.set_node_tiers(0, vec![(1, 2.0)]);
-        assert_eq!(s.node_tiers(0), &[(1, 2.0)]);
-        assert_eq!(s.node_tiers(1), &[(0, 1.0)]);
-        s.insert(mig(0, 1, &[0]), 1, JobHint::default(), SimTime::ZERO);
-        s.insert(mig(1, 2, &[1]), 2, JobHint::default(), SimTime::ZERO);
-        s.retarget(&dyrs_obs::ObsHandle::default());
-        let e0 = entry_of(&s, 1);
-        assert_eq!(e0.target, Some(NodeId(0)));
-        assert_eq!(e0.target_tier, 1, "chosen tier rides with the entry");
-        let e1 = entry_of(&s, 2);
-        assert_eq!(e1.target_tier, 0);
-        // same bytes, same spb: the tier-1 stream costs exactly 2×
-        assert_eq!(e0.winner_score, 2.0 * e1.winner_score);
-    }
-
-    #[test]
-    fn equal_tier_factors_tie_break_toward_memory() {
-        let mut s = sched();
-        s.set_node_tiers(0, vec![(0, 1.0), (1, 1.0), (2, 1.0)]);
-        s.insert(mig(0, 1, &[0]), 1, JobHint::default(), SimTime::ZERO);
-        s.retarget(&dyrs_obs::ObsHandle::default());
-        assert_eq!(
-            entry_of(&s, 1).target_tier,
-            0,
-            "strict-min keeps the fastest tier"
-        );
-    }
-
-    #[test]
-    fn node_tiers_survive_reset() {
-        let mut s = sched();
-        s.set_node_tiers(1, vec![(0, 1.0), (1, 3.0)]);
-        s.reset(0.5);
-        assert_eq!(
-            s.node_tiers(1),
-            &[(0, 1.0), (1, 3.0)],
-            "tier shape is hardware, not soft state"
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::types::{EvictionMode, JobRef, Migration};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use dyrs_obs::{cause, ObsHandle};
-use dyrs_tiers::{TierId, TierPolicy, TierPolicyKind, TierResident, TierStore};
+use dyrs_tiers::{TierResident, TierStore};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -43,13 +43,8 @@ pub struct CompletedMigration {
     /// How long the copy took (the simulated `mlock` duration).
     pub duration: SimDuration,
     /// True if the block was evicted immediately on completion because
-    /// every interested job already read it from disk mid-migration (or,
-    /// for a middle-tier destination, the tier filled up mid-flight).
+    /// every interested job already read it from disk mid-migration.
     pub evicted_immediately: bool,
-    /// Buffer tier the block landed in (0 = memory; Algorithm 1's chosen
-    /// `dest_tier`, possibly first-fitted further down the stack).
-    /// Meaningless when `evicted_immediately`.
-    pub tier: u8,
 }
 
 /// A block evicted from the buffer, with its size for unpinning.
@@ -171,8 +166,6 @@ pub struct Slave {
     active: Vec<Active>,
     estimator: MigrationEstimator,
     memory: TierStore,
-    /// Up/down-tier decision seam (demote-on-pressure, promote-on-read).
-    policy: TierPolicy,
     refs: ReferenceLists,
     /// block → bytes pinned for it.
     buffered: BTreeMap<BlockId, u64>,
@@ -199,26 +192,19 @@ impl Slave {
         mem_capacity: u64,
         reference_block: u64,
     ) -> Self {
-        Self::new_tiered(
-            node,
-            config,
-            disk_bw,
-            &[mem_capacity],
-            reference_block,
-            TierPolicy::new(TierPolicyKind::Baseline, simkit::Rng::new(0)),
-        )
+        Self::new_tiered(node, config, disk_bw, &[mem_capacity], reference_block)
     }
 
     /// A slave over an explicit buffer-tier stack (`buffer_capacities[0]`
-    /// = memory, then NVMe/SSD/... fastest first) with an up/down-tier
-    /// policy. [`Slave::new`] is the memory-only special case.
+    /// = memory, then NVMe/SSD/... fastest first). Migrations land in
+    /// memory; pressure evictions demote to the first lower tier with
+    /// room. [`Slave::new`] is the memory-only special case.
     pub fn new_tiered(
         node: NodeId,
         config: DyrsConfig,
         disk_bw: f64,
         buffer_capacities: &[u64],
         reference_block: u64,
-        policy: TierPolicy,
     ) -> Self {
         let estimator = MigrationEstimator::new(disk_bw, config.ewma_alpha);
         Slave {
@@ -230,7 +216,6 @@ impl Slave {
             active: Vec::new(),
             estimator,
             memory: TierStore::new(buffer_capacities),
-            policy,
             refs: ReferenceLists::new(),
             buffered: BTreeMap::new(),
             implicit_jobs: BTreeSet::new(),
@@ -263,29 +248,9 @@ impl Slave {
         &self.memory
     }
 
-    /// Whether reads served from a middle tier should promote the block
-    /// back into memory (the policy's call; always `false` for Baseline).
-    pub fn promote_on_read(&mut self) -> bool {
-        self.policy.promote_on_read()
-    }
-
     /// The middle tier (if any) holding a demoted copy of `block`.
     pub fn tier_resident(&self, block: BlockId) -> Option<TierResident> {
         self.memory.resident(block.0)
-    }
-
-    /// Promote a demoted middle-tier copy of `block` back into memory on
-    /// behalf of `r`'s job. Returns the promoted byte count, or `None`
-    /// (state unchanged) if the block is not resident or memory is full.
-    pub fn promote(&mut self, block: BlockId, r: JobRef) -> Option<u64> {
-        if self.buffered.contains_key(&block) {
-            return None;
-        }
-        let bytes = self.memory.promote(block.0)?;
-        self.buffered.insert(block, bytes);
-        self.note_job_ref(r, block);
-        self.obs.tier_promoted(block, self.node);
-        Some(bytes)
     }
 
     /// Bytes currently buffered.
@@ -427,20 +392,9 @@ impl Slave {
                 self.queue.pop_front();
                 continue;
             }
-            // Destination-tier admission check. Tier 0 (memory) pins the
-            // bytes for the flight; middle tiers are not reserved — under
-            // the serialized default at most one migration is in flight,
-            // and completion first-fits further down if the tier filled.
-            let dest = (head.dest_tier as usize).min(self.memory.num_tiers() - 1);
-            let fits = if dest == 0 {
-                self.memory.fits(head.bytes)
-            } else {
-                (dest..self.memory.num_tiers()).any(|t| {
-                    let t = TierId(t as u8);
-                    self.memory.tier_capacity(t) - self.memory.tier_used(t) >= head.bytes
-                })
-            };
-            if !fits {
+            // Every migration lands in memory (whatever `dest_tier` a peer
+            // sent), so the bytes are pinned for the flight.
+            if !self.memory.fits(head.bytes) {
                 // §IV-A1: migrations queue until buffer space is available.
                 self.stats.memory_stalls += 1;
                 return None;
@@ -449,9 +403,7 @@ impl Slave {
                 .queue
                 .pop_front()
                 .expect("queue non-empty: front was just peeked");
-            if dest == 0 {
-                assert!(self.memory.pin(m.bytes), "fits() checked above");
-            }
+            assert!(self.memory.pin(m.bytes), "fits() checked above");
             let start = StartedMigration {
                 block: m.block,
                 bytes: m.bytes,
@@ -507,13 +459,10 @@ impl Slave {
         self.estimator.on_complete(m.bytes, duration);
         self.stats.completed += 1;
         self.stats.bytes_migrated += m.bytes;
-        let dest = (m.dest_tier as usize).min(self.memory.num_tiers() - 1) as u8;
         // If every interested job already read the block from disk while it
         // was migrating, buffering it would be a pure memory leak.
         if self.refs.is_unreferenced(m.block) {
-            if dest == 0 {
-                self.memory.unpin(m.bytes);
-            }
+            self.memory.unpin(m.bytes);
             self.stats.evictions += 1;
             self.obs
                 .migration_evicted(m.id.0, self.node, cause::UNREFERENCED);
@@ -522,38 +471,11 @@ impl Slave {
                 bytes: m.bytes,
                 duration,
                 evicted_immediately: true,
-                tier: dest,
             };
         }
-        // A stale demoted copy is superseded by the fresh copy — releasing
-        // it here is what makes re-migration a natural promotion path and
-        // keeps residency single-tier.
+        // A stale demoted copy is superseded by the fresh copy in memory;
+        // releasing it keeps residency single-tier.
         self.memory.release(m.block.0);
-        if dest >= 1 {
-            // Middle-tier destination: admit at `dest` or first-fit
-            // further down. Nothing was pinned at start, so a tier that
-            // filled mid-flight (demotions) costs only the wasted read.
-            let Some(landed) = self.memory.demote(m.block.0, m.bytes, TierId(dest - 1)) else {
-                self.stats.evictions += 1;
-                self.obs
-                    .migration_evicted(m.id.0, self.node, cause::TIER_FULL);
-                return CompletedMigration {
-                    block: m.block,
-                    bytes: m.bytes,
-                    duration,
-                    evicted_immediately: true,
-                    tier: dest,
-                };
-            };
-            self.obs.migration_finished(m.id.0, self.node, duration);
-            return CompletedMigration {
-                block: m.block,
-                bytes: m.bytes,
-                duration,
-                evicted_immediately: false,
-                tier: landed.0,
-            };
-        }
         self.buffered.insert(m.block, m.bytes);
         self.obs.migration_finished(m.id.0, self.node, duration);
         CompletedMigration {
@@ -561,7 +483,6 @@ impl Slave {
             bytes: m.bytes,
             duration,
             evicted_immediately: false,
-            tier: 0,
         }
     }
 
@@ -668,19 +589,15 @@ impl Slave {
         self.memory.used() as f64 >= self.config.scavenge_threshold * self.memory.capacity() as f64
     }
 
-    /// Release a buffered block's memory and decide its fate: demoted
-    /// one tier down when the policy allows and a lower tier has room,
-    /// dropped back to disk-only otherwise. Every eviction path routes
-    /// through here so none silently discards bytes — the outcome is
-    /// cause-stamped (`evict-demote` vs `evict-drop`) on the recorder.
+    /// Release a buffered block's memory and decide its fate: demoted to
+    /// the first lower tier with room, dropped back to disk-only when
+    /// there is none. Every eviction path routes through here so none
+    /// silently discards bytes — the outcome is cause-stamped
+    /// (`evict-demote` vs `evict-drop`) on the recorder.
     fn evict_buffered(&mut self, block: BlockId, bytes: u64) -> Eviction {
         self.memory.unpin(bytes);
         self.stats.evictions += 1;
-        let demoted_to = if self.memory.num_tiers() > 1 && self.policy.demote_on_pressure() {
-            self.memory.demote(block.0, bytes, TierId::MEM).map(|t| t.0)
-        } else {
-            None
-        };
+        let demoted_to = self.memory.demote(block.0, bytes).map(|t| t.0);
         self.obs.tier_evicted(block, self.node, demoted_to);
         Eviction {
             block,
@@ -690,9 +607,9 @@ impl Slave {
     }
 
     /// Drop an unreferenced middle-tier copy of `block` (the job(s) that
-    /// wanted it are done; a demoted or tier-targeted copy with no
-    /// remaining interest is reclaimed like any buffered block). `None`
-    /// when the block is not tier-resident — always on the legacy stack.
+    /// wanted it are done; a demoted copy with no remaining interest is
+    /// reclaimed like any buffered block). `None` when the block is not
+    /// tier-resident — always on the legacy stack.
     fn evict_tier_resident(&mut self, block: BlockId) -> Option<Eviction> {
         let r = self.memory.release(block.0)?;
         self.stats.evictions += 1;
@@ -748,9 +665,7 @@ impl Slave {
         }
         if let Some(idx) = self.active.iter().position(|a| a.migration.block == block) {
             let a = self.active.remove(idx);
-            if (a.migration.dest_tier as usize).min(self.memory.num_tiers() - 1) == 0 {
-                self.memory.unpin(a.migration.bytes);
-            }
+            self.memory.unpin(a.migration.bytes);
             for r in &a.migration.jobs {
                 self.refs.remove(r.job, block);
             }
@@ -825,12 +740,7 @@ impl simkit::audit::Audit for Slave {
             },
         );
         let owned: u64 = self.buffered.values().sum::<u64>()
-            + self
-                .active
-                .iter()
-                .filter(|a| (a.migration.dest_tier as usize).min(self.memory.num_tiers() - 1) == 0)
-                .map(|a| a.migration.bytes)
-                .sum::<u64>();
+            + self.active.iter().map(|a| a.migration.bytes).sum::<u64>();
         report.check(
             self.memory.used() == owned,
             c,
@@ -884,6 +794,7 @@ impl simkit::audit::Audit for Slave {
 mod tests {
     use super::*;
     use crate::types::MigrationId;
+    use dyrs_tiers::TierId;
 
     const MB: u64 = 1 << 20;
     const BLOCK: u64 = 256 * MB;
@@ -1242,14 +1153,13 @@ mod tests {
         assert!(s.try_start(t(1)).is_some());
     }
 
-    fn tiered_slave(buffer_capacities: &[u64], kind: TierPolicyKind) -> Slave {
+    fn tiered_slave(buffer_capacities: &[u64]) -> Slave {
         let mut s = Slave::new_tiered(
             NodeId(0),
             DyrsConfig::default(),
             BW,
             buffer_capacities,
             BLOCK,
-            TierPolicy::new(kind, simkit::Rng::new(7)),
         );
         s.calibrate(32 * MB, SimDuration::from_secs_f64(32.0 * MB as f64 / BW));
         s
@@ -1257,7 +1167,7 @@ mod tests {
 
     #[test]
     fn eviction_demotes_when_a_lower_tier_has_room() {
-        let mut s = tiered_slave(&[4 * BLOCK, 2 * BLOCK], TierPolicyKind::Baseline);
+        let mut s = tiered_slave(&[4 * BLOCK, 2 * BLOCK]);
         s.on_bind(vec![mig(1, BLOCK, &[(1, EvictionMode::Implicit)])]);
         s.try_start(t(0)).unwrap();
         s.on_migration_complete(t(2));
@@ -1268,24 +1178,11 @@ mod tests {
         assert_eq!(s.tier_resident(b(1)).map(|r| r.tier), Some(TierId(1)));
         assert_eq!(s.memory().tier_used(TierId(1)), BLOCK);
         assert_eq!(s.buffered_bytes(), 0);
-        // a later job promotes the demoted copy back into memory
-        let bytes = s
-            .promote(
-                b(1),
-                JobRef {
-                    job: j(2),
-                    eviction: EvictionMode::Explicit,
-                },
-            )
-            .expect("resident and memory has room");
-        assert_eq!(bytes, BLOCK);
-        assert!(s.has_buffered(b(1)));
-        assert_eq!(s.tier_resident(b(1)), None, "single residency restored");
     }
 
     #[test]
     fn eviction_drops_when_every_lower_tier_is_full() {
-        let mut s = tiered_slave(&[4 * BLOCK, BLOCK], TierPolicyKind::Baseline);
+        let mut s = tiered_slave(&[4 * BLOCK, BLOCK]);
         for i in 1..=2 {
             s.on_bind(vec![mig(i, BLOCK, &[(i, EvictionMode::Implicit)])]);
             s.try_start(t(i)).unwrap();
@@ -1299,7 +1196,7 @@ mod tests {
 
     #[test]
     fn remigration_supersedes_the_demoted_copy() {
-        let mut s = tiered_slave(&[4 * BLOCK, 2 * BLOCK], TierPolicyKind::Baseline);
+        let mut s = tiered_slave(&[4 * BLOCK, 2 * BLOCK]);
         s.on_bind(vec![mig(1, BLOCK, &[(1, EvictionMode::Implicit)])]);
         s.try_start(t(0)).unwrap();
         s.on_migration_complete(t(2));
@@ -1315,11 +1212,23 @@ mod tests {
     }
 
     #[test]
-    fn promote_on_read_follows_the_policy() {
-        let mut base = tiered_slave(&[4 * BLOCK, 2 * BLOCK], TierPolicyKind::Baseline);
-        assert!(!base.promote_on_read());
-        let mut hot = tiered_slave(&[4 * BLOCK, 2 * BLOCK], TierPolicyKind::Hotness);
-        assert!(hot.promote_on_read());
+    fn a_lower_dest_tier_still_lands_in_memory() {
+        // The wire keeps `dest_tier`, so a peer may still bind a migration
+        // aimed at tier 1. The slave ignores it: memory is pinned for the
+        // flight, and the block lands buffered in memory.
+        let mut s = tiered_slave(&[4 * BLOCK, 2 * BLOCK]);
+        let mut m = mig(1, BLOCK, &[(1, EvictionMode::Explicit)]);
+        m.dest_tier = 1;
+        s.on_bind(vec![m]);
+        s.try_start(t(0)).unwrap();
+        assert_eq!(s.buffered_bytes(), BLOCK, "memory pinned at start");
+        assert_eq!(s.memory().tier_used(TierId(1)), 0);
+        let done = s.on_migration_complete(t(2));
+        assert!(!done.evicted_immediately);
+        assert!(s.has_buffered(b(1)));
+        assert_eq!(s.buffered_bytes(), BLOCK);
+        assert_eq!(s.tier_resident(b(1)), None);
+        assert_eq!(s.memory().tier_used(TierId(1)), 0);
     }
 
     #[test]

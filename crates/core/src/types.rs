@@ -58,9 +58,10 @@ pub struct Migration {
     /// bounded-retry budget spans the whole chain.
     #[serde(default)]
     pub attempt: u32,
-    /// Destination buffer tier chosen by tier-aware Algorithm 1, stamped
-    /// when the migration is bound. 0 (memory) everywhere on the legacy
-    /// 2-tier stack, and for pending work that has not been bound yet.
+    /// Destination buffer tier, kept on the wire because the protocol is
+    /// append-only. Migrations always land in memory: the master always
+    /// sends 0, and a slave ignores the field, so a bound migration with
+    /// any other value still lands in memory.
     #[serde(default)]
     pub dest_tier: u8,
 }

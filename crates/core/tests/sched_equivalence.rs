@@ -58,9 +58,9 @@ fn observed(mut m: Master) -> (Master, ObsHandle) {
 }
 
 /// Per provenance record: the migration, block, bytes, candidates as
-/// `(node, rank, score bits, tier)` in recorded order, and the winner.
+/// `(node, rank, score bits)` in recorded order, and the winner.
 #[cfg(feature = "obs")]
-type Decision = (u64, u64, u64, Vec<(u32, u32, u64, u8)>, Option<u32>);
+type Decision = (u64, u64, u64, Vec<(u32, u32, u64)>, Option<u32>);
 
 /// Drain the recorder and return the provenance recorded since the last
 /// drain.
@@ -73,7 +73,7 @@ fn decisions(obs: &ObsHandle) -> Vec<Decision> {
         .map(|r| {
             let candidates = r.candidates.iter();
             let candidates = candidates
-                .map(|c| (c.node, c.rank, c.est_finish_secs.to_bits(), c.tier))
+                .map(|c| (c.node, c.rank, c.est_finish_secs.to_bits()))
                 .collect();
             (r.migration, r.block, r.bytes, candidates, r.winner)
         })

@@ -21,7 +21,7 @@
 use crate::render::TextTable;
 use crate::runner::{run_all, SimTask};
 use crate::scenarios::hetero_config;
-use dyrs::{MigrationPolicy, TierPolicyKind, TierStackSpec};
+use dyrs::{MigrationPolicy, TierStackSpec};
 use dyrs_dfs::JobId;
 use dyrs_engine::JobSpec;
 use dyrs_sim::{FileSpec, SimConfig};
@@ -45,7 +45,8 @@ const ARRIVAL_GAP_SECS: u64 = 8;
 pub struct TierSweepRow {
     /// Stack label ("2-tier", "3-tier", ...).
     pub stack: String,
-    /// Tier policy behind Algorithm 1 ("baseline" or "hotness").
+    /// Tier policy: always "baseline" (migrations land in memory;
+    /// evictions demote when a lower tier has room).
     pub policy: String,
     /// Mean job duration, seconds.
     pub mean_job_secs: f64,
@@ -58,8 +59,6 @@ pub struct TierSweepRow {
     /// Evictions that dropped the copy outright (no tier below had room,
     /// or none exists).
     pub dropped: u64,
-    /// Middle-tier reads promoted back into memory (hotness policy only).
-    pub promoted: u64,
     /// Wasted-migration rate: `dropped / completed`.
     pub wasted_rate: f64,
     /// Event-trace digest of the run (the 2-tier row's digest is the
@@ -70,7 +69,7 @@ pub struct TierSweepRow {
 /// Full tier-sweep data.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TierSweep {
-    /// Rows in sweep order: 2-tier, 3-tier, 4-tier, 3-tier/hotness.
+    /// Rows in sweep order: 2-tier, 3-tier, 4-tier.
     pub rows: Vec<TierSweepRow>,
 }
 
@@ -128,50 +127,41 @@ fn stack_for(spec: &dyrs_cluster::NodeSpec, stack: &str) -> Option<TierStackSpec
     }
 }
 
-/// Run the sweep: 2/3/4-tier under the baseline policy plus 3-tier under
-/// the hotness policy, all on the heterogeneous evaluation cluster with a
-/// migration buffer tight enough to force eviction pressure.
+/// Run the sweep: 2/3/4-tier stacks on the heterogeneous evaluation
+/// cluster with a migration buffer tight enough to force eviction
+/// pressure.
 pub fn run(seed: u64, scale: f64) -> TierSweep {
-    let variants: [(&str, &str, TierPolicyKind); 4] = [
-        ("2-tier", "baseline", TierPolicyKind::Baseline),
-        ("3-tier", "baseline", TierPolicyKind::Baseline),
-        ("4-tier", "baseline", TierPolicyKind::Baseline),
-        ("3-tier/hotness", "hotness", TierPolicyKind::Hotness),
-    ];
-    let tasks: Vec<SimTask> = variants
+    let stacks = ["2-tier", "3-tier", "4-tier"];
+    let tasks: Vec<SimTask> = stacks
         .iter()
-        .map(|(stack, _, policy)| {
+        .map(|&stack| {
             let mut cfg = hetero_config(MigrationPolicy::Dyrs, seed);
-            let base = stack.split('/').next().expect("stack label");
             for spec in &mut cfg.cluster.nodes {
-                spec.tiers = stack_for(spec, base);
+                spec.tiers = stack_for(spec, stack);
             }
-            cfg.dyrs.tier_policy = *policy;
             // A buffer two files deep: round r's files cannot all stay
             // resident until round r+1, so evictions (and, with a middle
             // tier, demotions) are guaranteed.
             let jobs = reuse_workload(&mut cfg, scale);
             cfg.mem_limit = Some(2 * cfg.files[0].bytes);
-            SimTask::new(*stack, cfg, jobs)
+            SimTask::new(stack, cfg, jobs)
         })
         .collect();
     let results = run_all(tasks, 0);
     let base_secs = results[0].1.mean_job_duration_secs();
     let rows = results
         .into_iter()
-        .zip(variants)
-        .map(|((label, r), (_, policy, _))| {
+        .map(|(label, r)| {
             let mean = r.mean_job_duration_secs();
             let dropped = r.obs.counter("tier.evict_drop");
             TierSweepRow {
                 stack: label,
-                policy: policy.to_string(),
+                policy: "baseline".to_string(),
                 mean_job_secs: mean,
                 speedup_pct: (base_secs - mean) / base_secs * 100.0,
                 completed: r.master.completed,
                 demoted: r.obs.counter("tier.evict_demote"),
                 dropped,
-                promoted: r.obs.counter("tier.promotions"),
                 wasted_rate: dropped as f64 / r.master.completed.max(1) as f64,
                 trace_digest: r.trace_digest,
             }
@@ -190,7 +180,6 @@ pub fn render(t: &TierSweep) -> String {
         "Migrations",
         "Demoted",
         "Dropped",
-        "Promoted",
         "Wasted rate",
     ]);
     for r in &t.rows {
@@ -202,7 +191,6 @@ pub fn render(t: &TierSweep) -> String {
             format!("{}", r.completed),
             format!("{}", r.demoted),
             format!("{}", r.dropped),
-            format!("{}", r.promoted),
             format!("{:.2}", r.wasted_rate),
         ]);
     }
@@ -221,7 +209,6 @@ mod tests {
     #[test]
     fn sweep_contrasts_drop_vs_demote() {
         let t = run(7, 0.25);
-        assert_eq!(t.rows.len(), 4);
         let two = t.get("2-tier");
         let three = t.get("3-tier");
         // every stack actually migrated and evicted under pressure
@@ -260,7 +247,7 @@ mod tests {
     #[test]
     fn render_names_every_stack() {
         let s = render(&run(7, 0.1));
-        assert!(s.contains("2-tier") && s.contains("4-tier") && s.contains("hotness"));
+        assert!(s.contains("2-tier") && s.contains("3-tier") && s.contains("4-tier"));
         assert!(s.contains("Wasted rate"));
     }
 }

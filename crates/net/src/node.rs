@@ -204,6 +204,28 @@ pub fn run_master<T: Transport>(
             let _ = transport.send(other, &msg);
         }
     };
+    // A slave's completion or eviction report, handled the same way in the
+    // main loop and in the shutdown drain; any other frame is ignored.
+    let on_slave_report = |master: &mut Master,
+                           completed: &mut Vec<(u32, u64)>,
+                           now: SimTime,
+                           msg: Message| match msg {
+        Message::MigrationComplete { node, block } => {
+            // The daemon owns its span's terminal event; in the simulator
+            // the slave model shares the obs handle and emits it instead.
+            if let Some((mig, bound_at)) = master.bound_migration(node, block) {
+                obs.migration_finished(mig, node, now.saturating_since(bound_at));
+            }
+            master.on_migration_complete(node, block);
+            completed.push((node.0, block.0));
+            progress.completed.fetch_add(1, Ordering::SeqCst);
+        }
+        Message::Evicted { block, .. } => {
+            master.on_evicted(block);
+            progress.evicted.fetch_add(1, Ordering::SeqCst);
+        }
+        _ => {}
+    };
 
     loop {
         match transport.recv_timeout(cfg.poll) {
@@ -259,21 +281,10 @@ pub fn run_master<T: Transport>(
                         // backlog.
                         obs.gauge("sched.pending_depth", 0, master.pending_len() as f64);
                     }
-                    (Peer::Slave(_), Message::MigrationComplete { node, block }) => {
-                        // The daemon owns its span's terminal event; in
-                        // the simulator the slave model shares the obs
-                        // handle and emits it instead.
-                        if let Some((mig, bound_at)) = master.bound_migration(node, block) {
-                            obs.migration_finished(mig, node, now.saturating_since(bound_at));
-                        }
-                        master.on_migration_complete(node, block);
-                        completed.push((node.0, block.0));
-                        progress.completed.fetch_add(1, Ordering::SeqCst);
-                    }
-                    (Peer::Slave(_), Message::Evicted { block, .. }) => {
-                        master.on_evicted(block);
-                        progress.evicted.fetch_add(1, Ordering::SeqCst);
-                    }
+                    (
+                        Peer::Slave(_),
+                        msg @ (Message::MigrationComplete { .. } | Message::Evicted { .. }),
+                    ) => on_slave_report(&mut master, &mut completed, now, msg),
                     (Peer::Slave(n), Message::Bye { sent }) => {
                         byes.insert(n, sent);
                     }
@@ -515,17 +526,7 @@ pub fn run_master<T: Transport>(
                 // Late in-flight traffic (completions racing shutdown)
                 // still counts toward the frame accounting.
                 *received.entry(n).or_insert(0) += 1;
-                if let Message::MigrationComplete { node, block } = other {
-                    if let Some((mig, bound_at)) = master.bound_migration(node, block) {
-                        obs.migration_finished(mig, node, now.saturating_since(bound_at));
-                    }
-                    master.on_migration_complete(node, block);
-                    completed.push((node.0, block.0));
-                    progress.completed.fetch_add(1, Ordering::SeqCst);
-                } else if let Message::Evicted { block, .. } = other {
-                    master.on_evicted(block);
-                    progress.evicted.fetch_add(1, Ordering::SeqCst);
-                }
+                on_slave_report(&mut master, &mut completed, now, other);
             }
             Ok(_) => {}
             Err(TransportError::Timeout) => windows += 1,
@@ -612,6 +613,94 @@ impl SlaveReport {
 /// Size of the synthetic startup calibration read.
 const CALIBRATION_BYTES: u64 = 8 << 20;
 
+/// The slave daemon's state between frames. Both receive paths of
+/// [`run_slave`] (the drain of already-queued frames and the timed wait)
+/// hand every inbound frame to [`SlaveDaemon::handle`].
+struct SlaveDaemon<'a, T: Transport> {
+    transport: &'a T,
+    node: NodeId,
+    slave: Slave,
+    obs: dyrs_obs::ObsHandle,
+    /// Synthetic disk streams in flight: block and finish time.
+    active: Vec<(BlockId, SimTime)>,
+    sent: u64,
+    received: u64,
+    advertised: Option<u64>,
+    completed: u64,
+    evicted: u64,
+    errors: Vec<String>,
+}
+
+impl<T: Transport> SlaveDaemon<'_, T> {
+    fn send(&mut self, msg: Message) {
+        if self.transport.send(Peer::Master, &msg).is_ok() {
+            self.sent += 1;
+        }
+    }
+
+    fn report_evicted(&mut self, block: BlockId) {
+        self.evicted += 1;
+        self.send(Message::Evicted {
+            node: self.node,
+            block,
+        });
+    }
+
+    fn protocol_violation(&mut self, error: String) {
+        self.errors.push(error);
+        self.obs
+            .flight_auto_dump("protocol-violation", Some(self.node));
+    }
+
+    /// Apply one inbound frame. Returns `false` once the master's
+    /// `Shutdown` has arrived.
+    fn handle(&mut self, msg: Message) -> bool {
+        self.received += 1;
+        match msg {
+            Message::Bind { migrations } => self.slave.on_bind(migrations),
+            Message::AddRef { block, job } => self.slave.add_ref(block, job),
+            Message::Revoke { block } => {
+                if let Revoked::Active = self.slave.revoke(block) {
+                    self.active.retain(|(b, _)| *b != block);
+                }
+            }
+            Message::EvictJob { job } => {
+                for ev in self.slave.evict_job(job) {
+                    self.report_evicted(ev.block);
+                }
+            }
+            Message::ReadNotify { block, job } => {
+                for ev in self.slave.on_read(block, job) {
+                    self.report_evicted(ev.block);
+                }
+            }
+            Message::Shutdown { sent } => {
+                self.advertised = Some(sent);
+                return false;
+            }
+            Message::StatsRequest { scope } => match scope {
+                StatsScope::Local => {
+                    let snapshot = self.obs.snapshot();
+                    self.send(Message::StatsReply {
+                        scope: StatsScope::Local,
+                        snapshot,
+                    });
+                }
+                StatsScope::LocalFlight => {
+                    let record = self.obs.flight_dump("on-demand", Some(self.node));
+                    self.send(Message::FlightDump {
+                        scope: StatsScope::LocalFlight,
+                        record,
+                    });
+                }
+                other => self.protocol_violation(format!("unexpected stats scope {other:?}")),
+            },
+            other => self.protocol_violation(format!("unexpected {}", other.name())),
+        }
+        true
+    }
+}
+
 /// Run a slave daemon over `transport` until the master's `Shutdown`
 /// arrives (or `stop` is set locally), then answer `Bye` and return the
 /// run report.
@@ -631,237 +720,88 @@ pub fn run_slave<T: Transport>(transport: &T, cfg: &SlaveConfig, stop: &AtomicBo
     );
     let obs = dyrs_obs::ObsHandle::new();
     slave.attach_obs(obs.clone());
+    let mut d = SlaveDaemon {
+        transport,
+        node: cfg.node,
+        slave,
+        obs,
+        active: Vec::new(),
+        sent: 0,
+        received: 0,
+        advertised: None,
+        completed: 0,
+        evicted: 0,
+        errors: Vec::new(),
+    };
 
     let mut now = SimTime::from_micros(0);
     let mut next_hb = now; // heartbeat immediately on startup
-    let mut active: Vec<(BlockId, SimTime)> = Vec::new();
-    let mut sent: u64 = 0;
-    let mut received: u64 = 0;
-    let mut advertised: Option<u64> = None;
-    let mut completed: u64 = 0;
-    let mut evicted: u64 = 0;
-    let mut errors: Vec<String> = Vec::new();
-
-    let send = |transport: &T, sent: &mut u64, msg: Message| {
-        if transport.send(Peer::Master, &msg).is_ok() {
-            *sent += 1;
-        }
-    };
 
     'outer: loop {
         // Drain everything already queued before advancing time.
         loop {
             match transport.try_recv() {
                 Ok(Some((_, msg))) => {
-                    received += 1;
-                    match msg {
-                        Message::Bind { migrations } => slave.on_bind(migrations),
-                        Message::AddRef { block, job } => slave.add_ref(block, job),
-                        Message::Revoke { block } => {
-                            if let Revoked::Active = slave.revoke(block) {
-                                active.retain(|(b, _)| *b != block);
-                            }
-                        }
-                        Message::EvictJob { job } => {
-                            for ev in slave.evict_job(job) {
-                                evicted += 1;
-                                send(
-                                    transport,
-                                    &mut sent,
-                                    Message::Evicted {
-                                        node: cfg.node,
-                                        block: ev.block,
-                                    },
-                                );
-                            }
-                        }
-                        Message::ReadNotify { block, job } => {
-                            for ev in slave.on_read(block, job) {
-                                evicted += 1;
-                                send(
-                                    transport,
-                                    &mut sent,
-                                    Message::Evicted {
-                                        node: cfg.node,
-                                        block: ev.block,
-                                    },
-                                );
-                            }
-                        }
-                        Message::Shutdown { sent: master_sent } => {
-                            advertised = Some(master_sent);
-                            break 'outer;
-                        }
-                        Message::StatsRequest { scope } => match scope {
-                            StatsScope::Local => send(
-                                transport,
-                                &mut sent,
-                                Message::StatsReply {
-                                    scope: StatsScope::Local,
-                                    snapshot: obs.snapshot(),
-                                },
-                            ),
-                            StatsScope::LocalFlight => send(
-                                transport,
-                                &mut sent,
-                                Message::FlightDump {
-                                    scope: StatsScope::LocalFlight,
-                                    record: obs.flight_dump("on-demand", Some(cfg.node)),
-                                },
-                            ),
-                            other => {
-                                errors.push(format!("unexpected stats scope {other:?}"));
-                                obs.flight_auto_dump("protocol-violation", Some(cfg.node));
-                            }
-                        },
-                        other => {
-                            errors.push(format!("unexpected {}", other.name()));
-                            obs.flight_auto_dump("protocol-violation", Some(cfg.node));
-                        }
+                    if !d.handle(msg) {
+                        break 'outer;
                     }
                 }
                 Ok(None) => break,
-                Err(TransportError::Protocol(e)) => {
-                    errors.push(format!("protocol: {e}"));
-                    obs.flight_auto_dump("protocol-violation", Some(cfg.node));
-                }
+                Err(TransportError::Protocol(e)) => d.protocol_violation(format!("protocol: {e}")),
                 Err(_) => break 'outer,
             }
         }
 
         // Finish any synthetic disk stream whose deadline passed.
-        let done: Vec<BlockId> = active
+        let done: Vec<BlockId> = d
+            .active
             .iter()
             .filter(|(_, finish)| now >= *finish)
             .map(|(b, _)| *b)
             .collect();
         for block in done {
-            active.retain(|(b, _)| *b != block);
-            let outcome = slave.on_migration_complete_block(now, block);
-            completed += 1;
+            d.active.retain(|(b, _)| *b != block);
+            let outcome = d.slave.on_migration_complete_block(now, block);
+            d.completed += 1;
             if outcome.evicted_immediately {
-                evicted += 1;
-                send(
-                    transport,
-                    &mut sent,
-                    Message::Evicted {
-                        node: cfg.node,
-                        block,
-                    },
-                );
+                d.report_evicted(block);
             } else {
-                send(
-                    transport,
-                    &mut sent,
-                    Message::MigrationComplete {
-                        node: cfg.node,
-                        block,
-                    },
-                );
+                d.send(Message::MigrationComplete {
+                    node: cfg.node,
+                    block,
+                });
             }
         }
 
         // Start queued migrations (strictly serialized by default).
-        while let Some(start) = slave.try_start(now) {
+        while let Some(start) = d.slave.try_start(now) {
             let takes = SimDuration::from_secs_f64(start.bytes as f64 / cfg.disk_bw);
-            active.push((start.block, now + takes));
+            d.active.push((start.block, now + takes));
         }
 
         if now >= next_hb {
-            let report = slave.on_heartbeat(now);
-            send(
-                transport,
-                &mut sent,
-                Message::Heartbeat {
-                    node: cfg.node,
-                    report,
-                    at: now,
-                },
-            );
+            let report = d.slave.on_heartbeat(now);
+            d.send(Message::Heartbeat {
+                node: cfg.node,
+                report,
+                at: now,
+            });
             next_hb = now + cfg.dyrs.heartbeat_interval;
         }
 
         // Block briefly for new traffic, then advance the virtual clock.
         match transport.recv_timeout(cfg.poll) {
             Ok((_, msg)) => {
-                received += 1;
-                // Re-queue through the same handling next iteration is
-                // not possible without an inbox; handle inline instead.
-                match msg {
-                    Message::Bind { migrations } => slave.on_bind(migrations),
-                    Message::AddRef { block, job } => slave.add_ref(block, job),
-                    Message::Revoke { block } => {
-                        if let Revoked::Active = slave.revoke(block) {
-                            active.retain(|(b, _)| *b != block);
-                        }
-                    }
-                    Message::EvictJob { job } => {
-                        for ev in slave.evict_job(job) {
-                            evicted += 1;
-                            send(
-                                transport,
-                                &mut sent,
-                                Message::Evicted {
-                                    node: cfg.node,
-                                    block: ev.block,
-                                },
-                            );
-                        }
-                    }
-                    Message::ReadNotify { block, job } => {
-                        for ev in slave.on_read(block, job) {
-                            evicted += 1;
-                            send(
-                                transport,
-                                &mut sent,
-                                Message::Evicted {
-                                    node: cfg.node,
-                                    block: ev.block,
-                                },
-                            );
-                        }
-                    }
-                    Message::Shutdown { sent: master_sent } => {
-                        advertised = Some(master_sent);
-                        break 'outer;
-                    }
-                    Message::StatsRequest { scope } => match scope {
-                        StatsScope::Local => send(
-                            transport,
-                            &mut sent,
-                            Message::StatsReply {
-                                scope: StatsScope::Local,
-                                snapshot: obs.snapshot(),
-                            },
-                        ),
-                        StatsScope::LocalFlight => send(
-                            transport,
-                            &mut sent,
-                            Message::FlightDump {
-                                scope: StatsScope::LocalFlight,
-                                record: obs.flight_dump("on-demand", Some(cfg.node)),
-                            },
-                        ),
-                        other => {
-                            errors.push(format!("unexpected stats scope {other:?}"));
-                            obs.flight_auto_dump("protocol-violation", Some(cfg.node));
-                        }
-                    },
-                    other => {
-                        errors.push(format!("unexpected {}", other.name()));
-                        obs.flight_auto_dump("protocol-violation", Some(cfg.node));
-                    }
+                if !d.handle(msg) {
+                    break 'outer;
                 }
             }
             Err(TransportError::Timeout) => {}
-            Err(TransportError::Protocol(e)) => {
-                errors.push(format!("protocol: {e}"));
-                obs.flight_auto_dump("protocol-violation", Some(cfg.node));
-            }
+            Err(TransportError::Protocol(e)) => d.protocol_violation(format!("protocol: {e}")),
             Err(_) => break 'outer,
         }
         now += cfg.tick;
-        obs.set_now(now);
+        d.obs.set_now(now);
         if stop.load(Ordering::SeqCst) {
             break 'outer;
         }
@@ -869,17 +809,17 @@ pub fn run_slave<T: Transport>(transport: &T, cfg: &SlaveConfig, stop: &AtomicBo
 
     // Orderly goodbye: last frame advertises the final send count,
     // including the Bye itself.
-    let advertising = sent + 1;
-    send(transport, &mut sent, Message::Bye { sent: advertising });
+    let advertising = d.sent + 1;
+    d.send(Message::Bye { sent: advertising });
 
-    obs.close_dangling(dyrs_obs::cause::RUN_END);
+    d.obs.close_dangling(dyrs_obs::cause::RUN_END);
     SlaveReport {
-        sent,
-        received,
-        advertised,
-        completed,
-        evicted,
-        errors,
-        obs: obs.take_report(),
+        sent: d.sent,
+        received: d.received,
+        advertised: d.advertised,
+        completed: d.completed,
+        evicted: d.evicted,
+        errors: d.errors,
+        obs: d.obs.take_report(),
     }
 }

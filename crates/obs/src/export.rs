@@ -233,7 +233,6 @@ mod tests {
             node: None,
             cause: cause::REQUESTED,
             job: Some(1),
-            tier: None,
         });
         r.events.push(SpanEvent {
             at: SimTime::from_secs(2),
@@ -244,7 +243,6 @@ mod tests {
             node: Some(2),
             cause: cause::HEARTBEAT_PULL,
             job: None,
-            tier: Some(0),
         });
         r.events.push(SpanEvent {
             at: SimTime::from_secs(3),
@@ -255,7 +253,6 @@ mod tests {
             node: Some(2),
             cause: cause::COMPLETED,
             job: None,
-            tier: Some(0),
         });
         r.counters.insert("span.finished", 1);
         let mut ts = simkit::stats::TimeSeries::new();
@@ -275,13 +272,11 @@ mod tests {
                     node: 1,
                     rank: 1,
                     est_finish_secs: 2.0,
-                    tier: 0,
                 },
                 CandidateScore {
                     node: 2,
                     rank: 0,
                     est_finish_secs: 1.5,
-                    tier: 0,
                 },
             ],
         );

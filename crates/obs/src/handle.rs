@@ -20,14 +20,10 @@ use std::rc::Rc;
 /// the spans.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
+    /// Set by `migration_pending`; a slave-side handle sees ids it never
+    /// saw requested, and records them as block 0, size 0.
     block: u64,
     bytes: u64,
-    /// Destination buffer tier, known once the migration is bound.
-    tier: Option<u8>,
-    /// Whether `migration_pending` introduced the id; only then do
-    /// `block`, `bytes` and `tier` describe it (a slave-side handle sees
-    /// ids it never saw requested, and records them as block 0, size 0).
-    known: bool,
     /// The span's state while its last event is non-terminal.
     open: Option<SpanState>,
 }
@@ -200,7 +196,7 @@ impl ObsHandle {
             if slot.open.is_some() {
                 inner.open_counts[state as usize] += 1;
             }
-            let (block, bytes, tier) = (slot.block, slot.bytes, slot.tier);
+            let (block, bytes) = (slot.block, slot.bytes);
             let at = inner.now;
             inner.report.events.push(SpanEvent {
                 at,
@@ -211,7 +207,6 @@ impl ObsHandle {
                 node: node.map(|n| n.0),
                 cause: why,
                 job,
-                tier,
             });
             inner.span_counts[state as usize] += 1;
             inner.flight_push(FlightNote {
@@ -252,8 +247,6 @@ impl ObsHandle {
             let slot = inner.spans.slot(migration);
             slot.block = block.0;
             slot.bytes = bytes;
-            slot.tier = None;
-            slot.known = true;
         }
         self.record(migration, SpanState::Pending, None, why, job.map(|j| j.0));
     }
@@ -270,17 +263,8 @@ impl ObsHandle {
     }
 
     /// The migration was handed to a slave (`cause` distinguishes delayed
-    /// binding on heartbeat pull from Ignem's immediate binding). `tier`
-    /// is the destination buffer tier Algorithm 1 picked; it sticks to
-    /// the span, so every later event of this migration carries it.
-    pub fn migration_bound(&self, migration: u64, node: NodeId, tier: u8, why: &'static str) {
-        if let Some(inner) = &self.0 {
-            let mut inner = inner.borrow_mut();
-            let slot = inner.spans.slot(migration);
-            if slot.known {
-                slot.tier = Some(tier);
-            }
-        }
+    /// binding on heartbeat pull from Ignem's immediate binding).
+    pub fn migration_bound(&self, migration: u64, node: NodeId, why: &'static str) {
         self.record(migration, SpanState::Bound, Some(node), why, None);
     }
 
@@ -343,24 +327,6 @@ impl ObsHandle {
                 state,
                 node: Some(node.0),
                 cause: why,
-            });
-        }
-    }
-
-    /// A read served out of a middle tier promoted the block back into
-    /// memory (hotness policy).
-    pub fn tier_promoted(&self, block: BlockId, node: NodeId) {
-        self.counter_add("tier.promotions", 1);
-        if let Some(inner) = &self.0 {
-            let mut inner = inner.borrow_mut();
-            let at = inner.now;
-            inner.flight_push(FlightNote {
-                at,
-                migration: 0,
-                block: block.0,
-                state: "promote",
-                node: Some(node.0),
-                cause: cause::PROMOTED,
             });
         }
     }
@@ -636,17 +602,13 @@ mod tests {
         h.set_now(SimTime::from_secs(1));
         h.migration_pending(5, BlockId(42), 1024, Some(JobId(3)));
         h.set_now(SimTime::from_secs(2));
-        h.migration_bound(5, NodeId(1), 1, cause::HEARTBEAT_PULL);
+        h.migration_bound(5, NodeId(1), cause::HEARTBEAT_PULL);
         h.migration_finished(5, NodeId(1), SimDuration::from_secs(4));
         let r = h.take_report();
         assert!(r.enabled);
         assert_eq!(r.events.len(), 3);
         // Later events inherit block/bytes from the pending record.
         assert!(r.events.iter().all(|e| e.block == 42 && e.bytes == 1024));
-        // The destination tier sticks from the bound event onward.
-        assert_eq!(r.events[0].tier, None);
-        assert_eq!(r.events[1].tier, Some(1));
-        assert_eq!(r.events[2].tier, Some(1));
         assert_eq!(r.events[1].at, SimTime::from_secs(2));
         assert_eq!(r.events[1].node, Some(1));
         assert_eq!(r.counter("span.pending"), 1);
@@ -702,7 +664,7 @@ mod tests {
         h.set_now(SimTime::from_secs(1));
         h.migration_pending(1, BlockId(10), 64, Some(JobId(7)));
         h.migration_pending(2, BlockId(11), 64, None);
-        h.migration_bound(1, NodeId(3), 0, cause::HEARTBEAT_PULL);
+        h.migration_bound(1, NodeId(3), cause::HEARTBEAT_PULL);
         h.gauge("sched.pending_depth", 0, 2.0);
         h.set_now(SimTime::from_secs(2));
         h.gauge("sched.pending_depth", 0, 1.0);
@@ -796,17 +758,15 @@ mod tests {
         h.set_now(SimTime::from_secs(1));
         h.tier_evicted(BlockId(5), NodeId(2), Some(1));
         h.tier_evicted(BlockId(6), NodeId(2), None);
-        h.tier_promoted(BlockId(5), NodeId(2));
         let dump = h.flight_dump("check", None);
         let states: Vec<&str> = dump.entries.iter().map(|e| e.state.as_str()).collect();
-        assert_eq!(states, vec!["demote", "drop", "promote"]);
+        assert_eq!(states, vec!["demote", "drop"]);
         assert_eq!(dump.entries[0].cause, cause::EVICT_DEMOTE);
         assert_eq!(dump.entries[1].cause, cause::EVICT_DROP);
         let r = h.take_report();
         assert_eq!(r.counter("tier.demotions"), 1);
         assert_eq!(r.counter("tier.evict_demote"), 1);
         assert_eq!(r.counter("tier.evict_drop"), 1);
-        assert_eq!(r.counter("tier.promotions"), 1);
     }
 
     #[test]

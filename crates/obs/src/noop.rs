@@ -65,7 +65,7 @@ impl ObsHandle {
 
     /// No-op.
     #[inline]
-    pub fn migration_bound(&self, _migration: u64, _node: NodeId, _tier: u8, _why: &'static str) {}
+    pub fn migration_bound(&self, _migration: u64, _node: NodeId, _why: &'static str) {}
 
     /// No-op.
     #[inline]
@@ -86,10 +86,6 @@ impl ObsHandle {
     /// No-op.
     #[inline]
     pub fn tier_evicted(&self, _block: BlockId, _node: NodeId, _to: Option<u8>) {}
-
-    /// No-op.
-    #[inline]
-    pub fn tier_promoted(&self, _block: BlockId, _node: NodeId) {}
 
     /// No-op; the candidates are never iterated.
     #[inline]

@@ -283,7 +283,6 @@ mod tests {
             node: None,
             cause: cause::REQUESTED,
             job: None,
-            tier: None,
         }
     }
 
@@ -325,7 +324,6 @@ mod tests {
                     node: (i as u32 + 2 * rank) % 7,
                     rank,
                     est_finish_secs: i as f64 + f64::from(rank),
-                    tier: 0,
                 })
                 .collect();
             let mut sorted = c.clone();

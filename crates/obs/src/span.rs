@@ -135,13 +135,6 @@ pub mod cause {
     /// A pressure eviction dropped the block copy outright: no tier below
     /// had room (or none exists — the legacy 2-tier stack).
     pub const EVICT_DROP: &str = "evict-drop";
-    /// A read served from a middle tier promoted the block back into
-    /// memory (hotness policy).
-    pub const PROMOTED: &str = "promoted";
-    /// A migration bound to a middle tier completed its read but found
-    /// the destination (and every tier below) full — the copy is dropped
-    /// and only the wasted read was paid.
-    pub const TIER_FULL: &str = "tier-full";
 }
 
 /// One lifecycle transition of one migration.
@@ -163,11 +156,6 @@ pub struct SpanEvent {
     pub cause: &'static str,
     /// Requesting job, when known (set on the `Pending` transition).
     pub job: Option<u64>,
-    /// Destination buffer tier, known from the `Bound` transition onward
-    /// (tier-aware Algorithm 1 picks a tier × replica pair at bind).
-    /// `None` before binding, and in every pre-tier export.
-    #[serde(default)]
-    pub tier: Option<u8>,
 }
 
 /// Estimated finish time for one candidate replica node considered by
@@ -180,10 +168,6 @@ pub struct CandidateScore {
     pub rank: u32,
     /// Estimated finish time in seconds if this node is chosen.
     pub est_finish_secs: f64,
-    /// Destination buffer tier behind this score (the winning half of
-    /// the tier × replica pair; 0 = memory on every legacy stack).
-    #[serde(default)]
-    pub tier: u8,
 }
 
 /// One migration's scoring inside one Algorithm 1 retarget pass.

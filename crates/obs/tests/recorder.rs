@@ -5,8 +5,8 @@
 //! of them never marked pending (a slave-side handle sees ids it never
 //! saw requested), and a `take_report` can land mid-stream. The scrape
 //! view (`snapshot`) must agree with a recount of the recorded events and
-//! provenance, every event must carry the block, size and tier its
-//! migration was requested and bound with, and `close_dangling` must abort
+//! provenance, every event must carry the block and size its migration
+//! was requested with, and `close_dangling` must abort
 //! exactly the spans whose last event is non-terminal, in ascending id
 //! order. (Compiled only with the `enabled` feature, which the workspace
 //! build turns on through `dyrs-sim`.)
@@ -45,7 +45,6 @@ const IDS: [u64; 12] = [
 struct Meta {
     block: u64,
     bytes: u64,
-    tier: Option<u8>,
 }
 
 /// What the recorder was fed and has given back, for the recount.
@@ -81,7 +80,6 @@ fn candidates(x: u64) -> Vec<CandidateScore> {
             node: ((x >> (4 * rank)) % 6) as u32,
             rank,
             est_finish_secs: (x % 97) as f64 * 0.5 + f64::from(rank),
-            tier: (x % 3) as u8,
         })
         .collect()
 }
@@ -173,7 +171,7 @@ proptest! {
                     match state {
                         SpanState::Targeted => h.migration_targeted(id, n),
                         SpanState::Bound => {
-                            h.migration_bound(id, n, (x % 3) as u8, cause::HEARTBEAT_PULL);
+                            h.migration_bound(id, n, cause::HEARTBEAT_PULL);
                         }
                         SpanState::Started => h.migration_started(id, n),
                         SpanState::Finished => {
@@ -238,25 +236,20 @@ proptest! {
         check(&h, &mut model)?;
 
         // Every event carries its migration's requested block and size
-        // (zeros for ids never marked pending) and, once bound, its tier.
+        // (zeros for ids never marked pending).
         let mut meta: BTreeMap<u64, Meta> = BTreeMap::new();
         let mut replay = model.events.iter();
         for &(kind, sel, _, x) in &ops {
             let id = IDS[sel];
             if kind == 0 && sel % 2 == 0 {
-                meta.insert(id, Meta { block: x, bytes: x * 7, tier: None });
-            }
-            if kind == 2 {
-                if let Some(m) = meta.get_mut(&id) {
-                    m.tier = Some((x % 3) as u8);
-                }
+                meta.insert(id, Meta { block: x, bytes: x * 7 });
             }
             if kind <= 6 {
                 let ev = replay.next().expect("one event per lifecycle op");
-                let m = meta.get(&id).copied().unwrap_or(Meta { block: 0, bytes: 0, tier: None });
+                let m = meta.get(&id).copied().unwrap_or(Meta { block: 0, bytes: 0 });
                 prop_assert_eq!(
-                    (ev.migration, ev.block, ev.bytes, ev.tier),
-                    (id, m.block, m.bytes, m.tier),
+                    (ev.migration, ev.block, ev.bytes),
+                    (id, m.block, m.bytes),
                     "event {:?}", ev
                 );
             }

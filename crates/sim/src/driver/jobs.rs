@@ -5,7 +5,7 @@ use super::Simulation;
 use crate::events::{Ev, ResourceKind, StreamMeta};
 use crate::result::BlockReadRecord;
 use dyrs::master::BlockRequest;
-use dyrs::types::{EvictionMode, JobRef};
+use dyrs::types::EvictionMode;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{JobId, Medium};
 use dyrs_engine::scheduler::SlotKind;
@@ -303,11 +303,11 @@ impl Simulation {
                 };
             }
         }
-        // A demoted (or tier-targeted) copy on a live replica holder beats
-        // a disk read: serve off the fastest middle tier instead. Lowest
-        // tier wins, then lowest node id — deterministic. Never fires on
-        // the legacy stack (no middle tiers → no residents). Accounting
-        // keeps the disk medium: a tier read is not a memory read.
+        // A demoted copy on a live replica holder beats a disk read: serve
+        // off the fastest middle tier instead. Lowest tier wins, then
+        // lowest node id — deterministic. Never fires on the legacy stack
+        // (no middle tiers → no residents). Accounting keeps the disk
+        // medium: a tier read is not a memory read.
         let mut tier_source: Option<(u8, NodeId)> = None;
         if !plan.medium.is_memory() && self.cfg.policy != dyrs::MigrationPolicy::Ignem {
             for n in self
@@ -380,13 +380,7 @@ impl Simulation {
     }
 
     /// A map task's input read stream completed.
-    pub(crate) fn on_task_read_done(
-        &mut self,
-        tid: TaskId,
-        attempt: u32,
-        served_by: NodeId,
-        kind: ResourceKind,
-    ) {
+    pub(crate) fn on_task_read_done(&mut self, tid: TaskId, attempt: u32, served_by: NodeId) {
         if self.attempts[tid.0 as usize] != attempt
             || self.tasks[tid.0 as usize].phase != TaskPhase::Reading
         {
@@ -432,35 +426,6 @@ impl Simulation {
         let (block, job_id) = self.wire.read_notify_to_master(block, job_id);
         self.master.on_block_read(block);
         self.notify_read(block, job_id, served_by);
-
-        // Hotness promotion: a read served off a middle tier pulls the
-        // block back into memory when the serving slave's policy says so
-        // and the copy survived the read notification (a copy whose last
-        // interested job just read it is dropped instead — promoting it
-        // would pin memory nobody wants).
-        if matches!(kind, ResourceKind::Tier(_)) && self.slaves[served_by.index()].promote_on_read()
-        {
-            let eviction = if self
-                .jobs
-                .get(&job_id)
-                .map(|j| j.spec.implicit_eviction)
-                .unwrap_or(false)
-            {
-                EvictionMode::Implicit
-            } else {
-                EvictionMode::Explicit
-            };
-            let r = JobRef {
-                job: job_id,
-                eviction,
-            };
-            if self.slaves[served_by.index()].promote(block, r).is_some() {
-                self.datanodes[served_by.index()].add_memory_replica(block);
-                self.namenode.register_memory_replica(block, served_by);
-                self.buffer_series[served_by.index()]
-                    .record(now, self.slaves[served_by.index()].buffered_bytes() as f64);
-            }
-        }
 
         // Compute phase: map function + (folded-in) shuffle-output write.
         let job = self.jobs.get(&job_id).expect("job exists");

@@ -304,21 +304,8 @@ impl Simulation {
         self.last_estimate_signal[node.index()] = now;
         debug_assert_eq!(done.block, block);
         if !done.evicted_immediately {
-            if done.tier == 0 {
-                self.datanodes[node.index()].add_memory_replica(block);
-                self.namenode.register_memory_replica(block, node);
-            } else {
-                // Middle-tier landing: not a DFS memory replica (reads
-                // find it via the slave's tier store), but the device
-                // write it cost is real — model it as an overlapped
-                // stream on the tier's resource.
-                self.start_stream(
-                    node,
-                    ResourceKind::Tier(done.tier),
-                    done.bytes,
-                    StreamMeta::TierWrite,
-                );
-            }
+            self.datanodes[node.index()].add_memory_replica(block);
+            self.namenode.register_memory_replica(block, node);
             let (node, block) = self.wire.migration_complete(node, block);
             self.master.on_migration_complete(node, block);
         }

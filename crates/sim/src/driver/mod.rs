@@ -210,32 +210,17 @@ impl Simulation {
                 let stack = s.tier_stack();
                 let mut caps = stack.buffer_capacities();
                 caps[0] = mem_limit(caps[0]);
-                let policy = dyrs::TierPolicy::new(cfg.dyrs.tier_policy, rng.derive(4 + i as u64));
                 let mut sl = Slave::new_tiered(
                     NodeId(i as u32),
                     cfg.dyrs.clone(),
                     s.disk_bw,
                     &caps,
                     cfg.block_size,
-                    policy,
                 );
                 sl.attach_obs(obs.clone());
                 sl
             })
             .collect();
-        // Tell Algorithm 1 which destination tiers each node offers. The
-        // Baseline policy only ever targets memory at factor 1.0 —
-        // identical to the scheduler's default, so legacy runs see no
-        // state change at all.
-        let dest_policy = dyrs::TierPolicy::new(cfg.dyrs.tier_policy, rng.derive(4));
-        for (i, s) in cfg.cluster.nodes.iter().enumerate() {
-            let dests: Vec<(u8, f64)> = dest_policy
-                .dest_tiers(&s.tier_stack())
-                .into_iter()
-                .map(|(t, f)| (t.0, f))
-                .collect();
-            master.set_node_tiers(NodeId(i as u32), dests);
-        }
         let slots = SlotPool::new(
             n,
             cfg.engine.map_slots_per_node,

@@ -43,7 +43,7 @@ impl Simulation {
             // Completion frees the metadata slot; a tag that somehow
             // outlived its record resolves to the inert Dead variant.
             let meta = self.stream_meta.take(c.tag).unwrap_or(StreamMeta::Dead);
-            self.on_stream_complete(node, kind, meta);
+            self.on_stream_complete(node, meta);
         }
         self.reschedule(node, kind);
     }
@@ -130,11 +130,9 @@ impl Simulation {
     }
 
     /// Completion dispatch.
-    fn on_stream_complete(&mut self, node: NodeId, kind: ResourceKind, meta: StreamMeta) {
+    fn on_stream_complete(&mut self, node: NodeId, meta: StreamMeta) {
         match meta {
-            StreamMeta::TaskRead { task, attempt } => {
-                self.on_task_read_done(task, attempt, node, kind)
-            }
+            StreamMeta::TaskRead { task, attempt } => self.on_task_read_done(task, attempt, node),
             StreamMeta::Migration {
                 node: slave_node,
                 block,

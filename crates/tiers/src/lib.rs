@@ -2,7 +2,7 @@
 //!
 //! DYRS as published migrates cold data along a single disk→memory edge.
 //! Real big-data clusters sit on a memory / NVMe / SSD / HDD hierarchy,
-//! so this crate generalizes the migration graph to an N-tier *stack*:
+//! so this crate generalizes the buffer to an N-tier *stack*:
 //!
 //! * [`TierSpec`] / [`TierStackSpec`] — the static hardware description.
 //!   A stack lists tiers fastest→slowest; the last tier is the backing
@@ -13,22 +13,16 @@
 //!   `MemoryStore`. Tier 0 (memory) keeps the exact pin/unpin arithmetic
 //!   the slave always had; middle tiers hold *demoted* residents, blocks
 //!   pushed down instead of dropped when memory pressure evicts them.
-//! * [`TierPolicy`] — the seeded up/down-tier decision seam. The
-//!   baseline reproduces the paper's reference-list behavior (memory is
-//!   the only migration destination; pressure evictions demote to the
-//!   next tier down when it has space); the hotness policy additionally
-//!   promotes middle-tier residents back to memory on read.
 //!
-//! Everything here is deterministic: ties break on tier index, residency
-//! maps are BTree-ordered, and the policy seam owns its own derived RNG
-//! stream so adding a stochastic policy later cannot perturb anything
-//! else. Block keys are raw `u64`s (the DFS `BlockId.0`) so this crate
-//! stays a leaf below `dyrs-cluster`.
+//! Migrations always land in memory, as in the paper; the tiers below
+//! it only hold demoted copies and serve re-reads from them.
+//!
+//! Everything here is deterministic: ties break on tier index and
+//! residency maps are BTree-ordered. Block keys are raw `u64`s (the DFS
+//! `BlockId.0`) so this crate stays a leaf below `dyrs-cluster`.
 
-mod policy;
 mod spec;
 mod store;
 
-pub use policy::{TierPolicy, TierPolicyKind};
 pub use spec::{TierId, TierSpec, TierStackSpec};
 pub use store::{TierResident, TierStore};

@@ -9,9 +9,6 @@ use std::fmt;
 pub struct TierId(pub u8);
 
 impl TierId {
-    /// Memory — the top of every stack.
-    pub const MEM: TierId = TierId(0);
-
     /// Index into per-tier vectors.
     #[inline]
     pub fn index(self) -> usize {
@@ -35,10 +32,6 @@ pub struct TierSpec {
     pub capacity: u64,
     /// Sequential read bandwidth, bytes/sec.
     pub read_bw: f64,
-    /// Sequential write bandwidth, bytes/sec. `f64::INFINITY` for memory
-    /// keeps the destination write side unmodeled, exactly like the
-    /// original disk→memory pipeline.
-    pub write_bw: f64,
     /// Bandwidth degradation per extra concurrent stream
     /// (`cap(n) = bw / (1 + d·(n−1))`); non-zero only for seek-bound
     /// media.
@@ -47,12 +40,11 @@ pub struct TierSpec {
 }
 
 impl TierSpec {
-    fn new(name: &str, capacity: u64, read_bw: f64, write_bw: f64, degradation: f64) -> Self {
+    fn new(name: &str, capacity: u64, read_bw: f64, degradation: f64) -> Self {
         TierSpec {
             name: name.to_string(),
             capacity,
             read_bw,
-            write_bw,
             degradation,
         }
     }
@@ -64,7 +56,8 @@ const GIB_F: f64 = (1u64 << 30) as f64;
 
 /// A node's storage hierarchy, fastest tier first. The last tier is the
 /// backing disk; every tier above it is a buffer tier with finite
-/// capacity that can hold migrated or demoted block copies.
+/// capacity. Memory holds migrated copies, the tiers below it demoted
+/// ones.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TierStackSpec {
     /// Tiers fastest→slowest; at least two (a buffer over a backing disk).
@@ -72,22 +65,18 @@ pub struct TierStackSpec {
 }
 
 impl TierStackSpec {
-    /// The legacy 2-tier DYRS stack: memory over the spinning disk. The
-    /// memory tier's write bandwidth is infinite (the original pipeline
-    /// never modeled the RAM write side), so its Algorithm 1 write
-    /// factor is exactly 1.0 and scoring arithmetic is bit-identical to
-    /// the pre-tier code.
+    /// The legacy 2-tier DYRS stack: memory over the spinning disk.
     pub fn legacy(mem_capacity: u64, membus_bw: f64, disk_bw: f64, disk_degradation: f64) -> Self {
         TierStackSpec {
             tiers: vec![
-                TierSpec::new("mem", mem_capacity, membus_bw, f64::INFINITY, 0.0),
-                TierSpec::new("hdd", u64::MAX, disk_bw, disk_bw, disk_degradation),
+                TierSpec::new("mem", mem_capacity, membus_bw, 0.0),
+                TierSpec::new("hdd", u64::MAX, disk_bw, disk_degradation),
             ],
         }
     }
 
     /// 3-tier stack: memory / NVMe / HDD. NVMe numbers follow a
-    /// datacenter U.2 drive (~3.2 GB/s read, ~2 GB/s write).
+    /// datacenter U.2 drive (~3.2 GB/s read).
     pub fn three_tier(
         mem_capacity: u64,
         membus_bw: f64,
@@ -96,9 +85,9 @@ impl TierStackSpec {
     ) -> Self {
         TierStackSpec {
             tiers: vec![
-                TierSpec::new("mem", mem_capacity, membus_bw, f64::INFINITY, 0.0),
-                TierSpec::new("nvme", 256 * GIB, 3200.0 * MIB_F, 2000.0 * MIB_F, 0.0),
-                TierSpec::new("hdd", u64::MAX, disk_bw, disk_bw, disk_degradation),
+                TierSpec::new("mem", mem_capacity, membus_bw, 0.0),
+                TierSpec::new("nvme", 256 * GIB, 3200.0 * MIB_F, 0.0),
+                TierSpec::new("hdd", u64::MAX, disk_bw, disk_degradation),
             ],
         }
     }
@@ -112,10 +101,10 @@ impl TierStackSpec {
     ) -> Self {
         TierStackSpec {
             tiers: vec![
-                TierSpec::new("mem", mem_capacity, membus_bw, f64::INFINITY, 0.0),
-                TierSpec::new("nvme", 256 * GIB, 3200.0 * MIB_F, 2000.0 * MIB_F, 0.0),
-                TierSpec::new("ssd", GIB_F as u64, 550.0 * MIB_F, 500.0 * MIB_F, 0.0),
-                TierSpec::new("hdd", u64::MAX, disk_bw, disk_bw, disk_degradation),
+                TierSpec::new("mem", mem_capacity, membus_bw, 0.0),
+                TierSpec::new("nvme", 256 * GIB, 3200.0 * MIB_F, 0.0),
+                TierSpec::new("ssd", GIB_F as u64, 550.0 * MIB_F, 0.0),
+                TierSpec::new("hdd", u64::MAX, disk_bw, disk_degradation),
             ],
         }
     }
@@ -145,16 +134,6 @@ impl TierStackSpec {
         self.tiers.last().expect("validated stack has a disk tier")
     }
 
-    /// Algorithm 1 destination write factor for a buffer tier: how much
-    /// longer a migration takes when the destination write side, not the
-    /// source disk read, is the bottleneck. `max(1.0, disk_read / write)`
-    /// — exactly 1.0 for memory (infinite write bandwidth), so 2-tier
-    /// scoring reduces to the original `spb · bytes` term bit-for-bit.
-    pub fn write_factor(&self, tier: TierId) -> f64 {
-        let w = self.tiers[tier.index()].write_bw;
-        (self.disk().read_bw / w).max(1.0)
-    }
-
     /// Buffer-tier capacities in tier order (what a [`crate::TierStore`]
     /// is built from).
     pub fn buffer_capacities(&self) -> Vec<u64> {
@@ -162,8 +141,7 @@ impl TierStackSpec {
     }
 
     /// Check the stack is well-formed: at least a buffer over a disk,
-    /// positive buffer capacities, positive finite read bandwidths, and
-    /// positive write bandwidths (infinite allowed only on tier 0).
+    /// positive buffer capacities, and positive finite read bandwidths.
     pub fn validate(&self) -> Result<(), String> {
         if self.tiers.len() < 2 {
             return Err(format!(
@@ -178,13 +156,6 @@ impl TierStackSpec {
             if !(t.read_bw > 0.0 && t.read_bw.is_finite()) {
                 return Err(format!(
                     "tier {i} ({}) read_bw must be finite positive",
-                    t.name
-                ));
-            }
-            let write_bw_positive = t.write_bw > 0.0;
-            if !write_bw_positive || (t.write_bw.is_infinite() && i != 0) {
-                return Err(format!(
-                    "tier {i} ({}) write_bw must be positive (infinite only on tier 0)",
                     t.name
                 ));
             }
@@ -204,27 +175,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_stack_is_two_tiers_with_unit_mem_factor() {
+    fn legacy_stack_is_memory_over_disk() {
         let s = TierStackSpec::legacy(96 * GIB, 8.0 * GIB_F, 140.0 * MIB_F, 0.02);
         assert_eq!(s.len(), 2);
         assert_eq!(s.num_buffer_tiers(), 1);
-        assert_eq!(s.write_factor(TierId::MEM), 1.0);
         assert_eq!(s.disk().name, "hdd");
         s.validate().expect("legacy stack is valid");
-    }
-
-    #[test]
-    fn write_factor_penalizes_slow_writers() {
-        let s = TierStackSpec::four_tier(96 * GIB, 8.0 * GIB_F, 140.0 * MIB_F, 0.02);
-        assert_eq!(s.write_factor(TierId(0)), 1.0);
-        // NVMe and SSD write faster than the 140 MB/s disk reads, so the
-        // factor floors at 1.0 — the source disk stays the bottleneck.
-        assert_eq!(s.write_factor(TierId(1)), 1.0);
-        assert_eq!(s.write_factor(TierId(2)), 1.0);
-        // A hypothetical writer slower than the disk read is penalized.
-        let mut slow = s.clone();
-        slow.tiers[2].write_bw = 70.0 * MIB_F;
-        assert_eq!(slow.write_factor(TierId(2)), 2.0);
     }
 
     #[test]
@@ -240,18 +196,11 @@ mod tests {
             zero_cap.validate().is_err(),
             "zero-capacity buffer rejected"
         );
-        let mut inf_mid = good.clone();
-        inf_mid.tiers[1].write_bw = f64::INFINITY;
-        assert!(
-            inf_mid.validate().is_err(),
-            "infinite mid-tier write rejected"
-        );
     }
 
     #[test]
     fn tier_id_display_and_index() {
         assert_eq!(TierId(2).to_string(), "tier2");
         assert_eq!(TierId(2).index(), 2);
-        assert_eq!(TierId::MEM, TierId(0));
     }
 }

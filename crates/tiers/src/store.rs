@@ -158,11 +158,6 @@ impl TierStore {
     // middle tiers — demoted residents
     // ------------------------------------------------------------------
 
-    /// Capacity of tier `t` in bytes.
-    pub fn tier_capacity(&self, t: TierId) -> u64 {
-        self.tiers[t.index()].capacity
-    }
-
     /// Bytes currently held in tier `t`.
     pub fn tier_used(&self, t: TierId) -> u64 {
         self.tiers[t.index()].used
@@ -173,23 +168,17 @@ impl TierStore {
         self.tiers[t.index()].peak
     }
 
-    /// Cumulative bytes ever admitted to tier `t`.
-    pub fn tier_total_admitted(&self, t: TierId) -> u64 {
-        self.tiers[t.index()].total_admitted
-    }
-
-    /// Demote a block copy leaving tier `from`: place it in the first
-    /// tier below `from` with room, oldest-first ordering preserved per
-    /// tier. Returns the receiving tier, or `None` when every lower tier
-    /// is full (the caller drops the copy). The caller has already
-    /// released the block from `from` (for memory, via [`Self::unpin`]).
-    pub fn demote(&mut self, block: u64, bytes: u64, from: TierId) -> Option<TierId> {
+    /// Demote a block copy leaving memory: place it in the first middle
+    /// tier with room, oldest-first ordering preserved per tier. Returns
+    /// the receiving tier, or `None` when every middle tier is full (the
+    /// caller drops the copy). The caller has already unpinned the block
+    /// from memory via [`Self::unpin`].
+    pub fn demote(&mut self, block: u64, bytes: u64) -> Option<TierId> {
         assert!(
             !self.resident.contains_key(&block),
             "block {block} already resident in a middle tier"
         );
-        let start = from.index() + 1;
-        for t in start..self.tiers.len() {
+        for t in 1..self.tiers.len() {
             if self.tiers[t].fits(bytes) {
                 self.tiers[t].admit(bytes);
                 let tier = TierId(t as u8);
@@ -215,28 +204,9 @@ impl TierStore {
         Some(r)
     }
 
-    /// Promote a middle-tier resident back into memory: releases it from
-    /// its tier and pins the bytes in tier 0. Returns the promoted byte
-    /// count, or `None` (state unchanged) if the block is not resident or
-    /// memory cannot fit it.
-    pub fn promote(&mut self, block: u64) -> Option<u64> {
-        let r = self.resident.get(&block).copied()?;
-        if !self.tiers[0].fits(r.bytes) {
-            return None;
-        }
-        self.release(block);
-        assert!(self.pin(r.bytes), "fits() checked above");
-        Some(r.bytes)
-    }
-
     /// Blocks resident in tier `t`, oldest admission first.
     pub fn tier_blocks(&self, t: TierId) -> &[u64] {
         &self.order[t.index()]
-    }
-
-    /// All middle-tier residents in block order.
-    pub fn residents(&self) -> impl Iterator<Item = (u64, TierResident)> + '_ {
-        self.resident.iter().map(|(&b, &r)| (b, r))
     }
 }
 
@@ -348,7 +318,7 @@ mod tests {
     #[test]
     fn two_tier_store_never_demotes() {
         let mut s = TierStore::new(&[100]);
-        assert_eq!(s.demote(7, 10, TierId::MEM), None, "no tier below memory");
+        assert_eq!(s.demote(7, 10), None, "no tier below memory");
         assert_eq!(s.resident(7), None);
         clean(&s);
     }
@@ -356,9 +326,9 @@ mod tests {
     #[test]
     fn demote_lands_in_first_tier_with_room() {
         let mut s = TierStore::new(&[100, 25, 50]);
-        assert_eq!(s.demote(1, 20, TierId::MEM), Some(TierId(1)));
+        assert_eq!(s.demote(1, 20), Some(TierId(1)));
         // tier 1 has 5 bytes left: the next 20-byte demotion skips to tier 2
-        assert_eq!(s.demote(2, 20, TierId::MEM), Some(TierId(2)));
+        assert_eq!(s.demote(2, 20), Some(TierId(2)));
         assert_eq!(s.tier_used(TierId(1)), 20);
         assert_eq!(s.tier_used(TierId(2)), 20);
         assert_eq!(
@@ -369,36 +339,27 @@ mod tests {
             })
         );
         // both lower tiers full enough → the copy is droppable
-        assert_eq!(s.demote(3, 40, TierId::MEM), None);
+        assert_eq!(s.demote(3, 40), None);
         clean(&s);
     }
 
     #[test]
-    fn demote_respects_the_source_tier() {
-        let mut s = TierStore::new(&[100, 50, 50]);
-        assert_eq!(
-            s.demote(1, 10, TierId(1)),
-            Some(TierId(2)),
-            "cascade skips tier 1"
-        );
-        clean(&s);
-    }
-
-    #[test]
-    fn release_and_promote_roundtrip() {
+    fn release_roundtrip() {
         let mut s = TierStore::new(&[30, 50]);
         assert!(s.pin(30));
         s.unpin(30);
-        assert_eq!(s.demote(9, 30, TierId::MEM), Some(TierId(1)));
-        // memory full again: promotion must fail without touching state
-        assert!(s.pin(10));
-        assert_eq!(s.promote(9), None);
+        assert_eq!(s.demote(9, 30), Some(TierId(1)));
         assert_eq!(s.tier_used(TierId(1)), 30);
-        s.unpin(10);
-        assert_eq!(s.promote(9), Some(30));
-        assert_eq!(s.used(), 30);
+        assert_eq!(
+            s.release(9),
+            Some(TierResident {
+                tier: TierId(1),
+                bytes: 30
+            })
+        );
         assert_eq!(s.tier_used(TierId(1)), 0);
         assert_eq!(s.resident(9), None);
+        assert_eq!(s.release(9), None, "a second release finds nothing");
         clean(&s);
     }
 
@@ -406,7 +367,7 @@ mod tests {
     fn admission_order_is_oldest_first() {
         let mut s = TierStore::new(&[100, 100]);
         for b in [4u64, 2, 9] {
-            assert_eq!(s.demote(b, 10, TierId::MEM), Some(TierId(1)));
+            assert_eq!(s.demote(b, 10), Some(TierId(1)));
         }
         assert_eq!(s.tier_blocks(TierId(1)), &[4, 2, 9]);
         s.release(2);
@@ -418,7 +379,7 @@ mod tests {
     fn clear_drops_residents_but_keeps_peaks() {
         let mut s = TierStore::new(&[100, 100]);
         assert!(s.pin(40));
-        assert_eq!(s.demote(1, 30, TierId::MEM), Some(TierId(1)));
+        assert_eq!(s.demote(1, 30), Some(TierId(1)));
         s.clear();
         assert_eq!(s.used(), 0);
         assert_eq!(s.tier_used(TierId(1)), 0);
@@ -432,7 +393,7 @@ mod tests {
     #[should_panic(expected = "already resident")]
     fn double_demote_panics() {
         let mut s = TierStore::new(&[100, 100]);
-        assert_eq!(s.demote(1, 10, TierId::MEM), Some(TierId(1)));
-        let _ = s.demote(1, 10, TierId::MEM);
+        assert_eq!(s.demote(1, 10), Some(TierId(1)));
+        let _ = s.demote(1, 10);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for tier-store invariants: per-tier capacity
 //! conservation, no block resident in two tiers on one node, and
-//! admission order preserved across promote/demote/evict sequences.
+//! admission order preserved across demote/evict/release sequences.
 
 use dyrs_tiers::{TierId, TierStore};
 use proptest::prelude::*;
@@ -60,14 +60,14 @@ fn check(store: &TierStore, model: &Model, caps: &[u64]) -> Result<(), TestCaseE
 }
 
 proptest! {
-    /// Drive a random promote/demote/evict/admit sequence against both
+    /// Drive a random demote/evict/admit/release sequence against both
     /// the store and an independent shadow model; every step preserves
     /// capacity conservation, single-residency, and admission order.
     #[test]
     fn tier_sequences_preserve_invariants(
         mem_cap in 50u64..200,
         mid_caps in proptest::collection::vec(30u64..150, 0..3),
-        ops in proptest::collection::vec((0u8..5, 0u64..12, 10u64..60), 1..120),
+        ops in proptest::collection::vec((0u8..4, 0u64..12, 10u64..60), 1..120),
     ) {
         let mut caps = vec![mem_cap];
         caps.extend(mid_caps.iter().copied());
@@ -89,7 +89,7 @@ proptest! {
                 1 => {
                     if let Some(bytes) = model.buffered.remove(&block) {
                         store.unpin(bytes);
-                        if let Some(t) = store.demote(block, bytes, TierId::MEM) {
+                        if let Some(t) = store.demote(block, bytes) {
                             model.resident.insert(block, (t.0, bytes));
                             model.orders.entry(t.0).or_default().push(block);
                         }
@@ -99,21 +99,6 @@ proptest! {
                 2 => {
                     if let Some(bytes) = model.buffered.remove(&block) {
                         store.unpin(bytes);
-                    }
-                }
-                // promote a middle-tier resident back into memory
-                3 => {
-                    if let Some(&(tier, bytes)) = model.resident.get(&block) {
-                        let fits = store.fits(bytes);
-                        let got = store.promote(block);
-                        if fits {
-                            prop_assert_eq!(got, Some(bytes));
-                            model.resident.remove(&block);
-                            model.orders.entry(tier).or_default().retain(|&b| b != block);
-                            model.buffered.insert(block, bytes);
-                        } else {
-                            prop_assert_eq!(got, None, "failed promote must not change state");
-                        }
                     }
                 }
                 // drop a middle-tier resident (re-migration landed, or GC)
