@@ -31,8 +31,8 @@ const PINNED: &[&str] = &[
 
 /// Extract `(name, median_ns)` pairs from a `bench-snapshot` JSON. The
 /// writer emits one bench object per line with fixed key order, so a
-/// line-oriented scan is exact for this format (the vendored serde stack
-/// is a no-op stub; see bench-snapshot's hand-rolled writer).
+/// line-oriented scan is exact for this format (the workspace writes JSON
+/// but has no reader).
 fn parse(json: &str) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for line in json.lines() {

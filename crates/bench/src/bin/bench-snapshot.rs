@@ -25,7 +25,7 @@ use dyrs_net::frame::{decode_frame, encode_frame, supported_versions};
 use dyrs_net::{LoopbackHub, Message, Peer, Transport, PROTOCOL_VERSION};
 use dyrs_sim::Simulation;
 use dyrs_workloads::sort;
-use simkit::{Rng, SimDuration};
+use simkit::{json, Rng, SimDuration};
 use std::time::Instant;
 
 const MB: u64 = 1 << 20;
@@ -367,17 +367,6 @@ fn bench_loopback() -> Snapshot {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| -> Option<String> {
@@ -404,10 +393,10 @@ fn main() {
         bench_loopback(),
     ]);
 
-    // Hand-rolled JSON: the vendored serde stack is a no-op stub, and the
-    // shape here is flat enough that a formatter would be overkill.
+    // One bench object per line, keys in a fixed order: `bench-gate`
+    // scans this layout line by line.
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"sha\": \"{}\",\n", json_escape(&sha)));
+    json.push_str(&format!("  \"sha\": \"{}\",\n", json::escape(&sha)));
     json.push_str("  \"benches\": [\n");
     for (i, s) in snapshots.iter().enumerate() {
         json.push_str(&format!(

@@ -12,11 +12,10 @@
 //! toggles into fluid streams.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// How interference on one node behaves over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InterferencePattern {
     /// Always on from t=0 (the paper's `dd` pair on the handicapped node).
     Persistent,
@@ -40,7 +39,7 @@ pub enum InterferencePattern {
 }
 
 /// A single on/off transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Toggle {
     /// When the transition happens.
     pub at: SimTime,
@@ -72,7 +71,7 @@ pub const DD_WEIGHT: f64 = 40.0;
 /// assert!(toggles[0].on && !toggles[1].on);
 /// assert!((s.duty_cycle(SimTime::from_secs(60)) - 0.5).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceSchedule {
     /// The node whose disk is attacked.
     pub node: NodeId,

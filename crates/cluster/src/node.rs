@@ -1,12 +1,11 @@
 //! Nodes and clusters.
 
 use dyrs_tiers::TierStackSpec;
-use serde::{Deserialize, Serialize};
 use simkit::FluidResource;
 use std::fmt;
 
 /// Identifies a node (DataNode / DYRS slave host) within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -24,7 +23,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Static description of one node's hardware.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Sequential disk bandwidth with a single reader, bytes/sec.
     pub disk_bw: f64,
@@ -39,12 +38,10 @@ pub struct NodeSpec {
     pub nic_bw: f64,
     /// Rack the node lives in (HDFS-style topology; the paper's testbed
     /// is a single rack, so the default is rack 0 everywhere).
-    #[serde(default)]
     pub rack: u32,
     /// Explicit storage hierarchy, fastest tier first. `None` (the
     /// default, and every pre-tier config) means the legacy 2-tier
     /// memory-over-disk stack derived from the fields above.
-    #[serde(default)]
     pub tiers: Option<TierStackSpec>,
 }
 
@@ -139,7 +136,7 @@ impl Node {
 }
 
 /// Static description of a whole cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// One spec per worker node (the NameNode/master host is not modeled
     /// as a storage node, matching the paper's 1 + 7 layout).

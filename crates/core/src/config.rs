@@ -1,12 +1,11 @@
 //! DYRS configuration knobs.
 
 use crate::policy::MigrationOrder;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// Tunables for the DYRS master and slaves. Defaults follow the paper's
 /// description and HDFS conventions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DyrsConfig {
     /// Slave → master heartbeat interval (HDFS DataNode default: 3 s; the
     /// paper's adaptation experiments respond on the order of seconds, so
@@ -29,27 +28,22 @@ pub struct DyrsConfig {
     /// Pending-list discipline at the master (paper: FIFO; SJF and EDF
     /// are the future-work alternatives, see
     /// [`MigrationOrder`]).
-    #[serde(default)]
     pub migration_order: MigrationOrder,
     /// Maximum concurrent migrations per slave disk. The paper
     /// "serializes migrations and moves one block at a time into memory
     /// in order to limit disk read concurrency" (§III-B); values > 1
     /// exist for the ablation study quantifying that choice.
-    #[serde(default = "default_max_concurrent")]
     pub max_concurrent_migrations: usize,
     /// Enable the §IV-A in-progress estimate refresh (update the estimate
     /// every heartbeat once an active migration runs past it). The paper
     /// added this after observing slow adaptation to sudden bandwidth
     /// drops; setting it to `false` reproduces their earlier prototype
     /// for the ablation study.
-    #[serde(default = "default_true")]
     pub in_progress_refresh: bool,
     /// Gray-failure detector: heartbeat deadlines, bounded retry, and
     /// per-node quarantine.
-    #[serde(default)]
     pub failure_detector: FailureDetectorConfig,
     /// Pending-migration scheduler: which Algorithm 1 engine runs.
-    #[serde(default)]
     pub scheduler: SchedulerConfig,
 }
 
@@ -57,7 +51,7 @@ pub struct DyrsConfig {
 /// decision-identical (asserted by the `sched_equivalence` proptests);
 /// the reference pass exists for differential testing and as the
 /// executable form of the paper's pseudocode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedEngine {
     /// The production pass: only entries whose candidate set or node
     /// trajectories changed since the last pass are rescored, walked as a
@@ -71,10 +65,9 @@ pub enum SchedEngine {
 }
 
 /// Scheduler engine selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerConfig {
     /// Which retarget engine runs.
-    #[serde(default)]
     pub engine: SchedEngine,
 }
 
@@ -84,112 +77,58 @@ pub struct SchedulerConfig {
 /// layer covers the space in between — a node whose heartbeats stall, or
 /// whose bound migrations crawl, without the node ever failing outright.
 /// Disabling it (`enabled: false`) restores the paper's exact behavior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureDetectorConfig {
     /// Master-side detector on/off switch.
-    #[serde(default = "default_true")]
     pub enabled: bool,
     /// A node missing heartbeats for this long becomes *suspect*: its
     /// bound-but-unstarted migrations are unbound back to pending and it
     /// leaves Algorithm 1 candidacy until it heartbeats again. Must exceed
     /// the heartbeat interval with slack for ordinary jitter.
-    #[serde(default = "default_suspect_after")]
     pub suspect_after: SimDuration,
     /// A bound migration not finished within this many multiples of the
     /// node's own estimate (`spb · bytes`, floored by `stuck_floor`) is
     /// declared stuck and re-bound elsewhere.
-    #[serde(default = "default_stuck_multiple")]
     pub stuck_multiple: f64,
     /// Lower bound on the stuck deadline, so cheap blocks on fast disks
     /// are not declared stuck over scheduling noise.
-    #[serde(default = "default_stuck_floor")]
     pub stuck_floor: SimDuration,
     /// Total binding attempts per block before the master gives up with a
     /// terminal `retries-exhausted` abort.
-    #[serde(default = "default_max_attempts")]
     pub max_attempts: u32,
     /// Base of the deterministic exponential backoff between attempts:
     /// attempt k re-enters candidacy after `retry_backoff · 2^(k−1)`.
-    #[serde(default = "default_retry_backoff")]
     pub retry_backoff: SimDuration,
     /// Strikes (suspect transitions or stuck migrations) within
     /// `strike_window` that quarantine a node.
-    #[serde(default = "default_quarantine_strikes")]
     pub quarantine_strikes: u32,
     /// Sliding window over which strikes are counted.
-    #[serde(default = "default_strike_window")]
     pub strike_window: SimDuration,
     /// How long a quarantined node is barred from candidacy before it may
     /// run a probation migration.
-    #[serde(default = "default_quarantine_backoff")]
     pub quarantine_backoff: SimDuration,
     /// Admission ramp for a `Joining` node: how many migrations it must
     /// complete before it graduates to full `Healthy` candidacy. While
     /// joining, a pull may bind at most `1 + completed` migrations, so a
     /// cold node warms its estimator before absorbing a full queue.
-    #[serde(default = "default_join_ramp_target")]
     pub join_ramp_target: u32,
-}
-
-fn default_suspect_after() -> SimDuration {
-    SimDuration::from_secs(3)
-}
-
-fn default_stuck_multiple() -> f64 {
-    8.0
-}
-
-fn default_stuck_floor() -> SimDuration {
-    SimDuration::from_secs(20)
-}
-
-fn default_max_attempts() -> u32 {
-    4
-}
-
-fn default_retry_backoff() -> SimDuration {
-    SimDuration::from_secs(1)
-}
-
-fn default_quarantine_strikes() -> u32 {
-    3
-}
-
-fn default_strike_window() -> SimDuration {
-    SimDuration::from_secs(30)
-}
-
-fn default_quarantine_backoff() -> SimDuration {
-    SimDuration::from_secs(10)
-}
-
-fn default_join_ramp_target() -> u32 {
-    4
 }
 
 impl Default for FailureDetectorConfig {
     fn default() -> Self {
         FailureDetectorConfig {
             enabled: true,
-            suspect_after: default_suspect_after(),
-            stuck_multiple: default_stuck_multiple(),
-            stuck_floor: default_stuck_floor(),
-            max_attempts: default_max_attempts(),
-            retry_backoff: default_retry_backoff(),
-            quarantine_strikes: default_quarantine_strikes(),
-            strike_window: default_strike_window(),
-            quarantine_backoff: default_quarantine_backoff(),
-            join_ramp_target: default_join_ramp_target(),
+            suspect_after: SimDuration::from_secs(3),
+            stuck_multiple: 8.0,
+            stuck_floor: SimDuration::from_secs(20),
+            max_attempts: 4,
+            retry_backoff: SimDuration::from_secs(1),
+            quarantine_strikes: 3,
+            strike_window: SimDuration::from_secs(30),
+            quarantine_backoff: SimDuration::from_secs(10),
+            join_ramp_target: 4,
         }
     }
-}
-
-fn default_max_concurrent() -> usize {
-    1
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl Default for DyrsConfig {
@@ -201,8 +140,8 @@ impl Default for DyrsConfig {
             queue_slack: 1,
             scavenge_threshold: 0.8,
             migration_order: MigrationOrder::Fifo,
-            max_concurrent_migrations: default_max_concurrent(),
-            in_progress_refresh: default_true(),
+            max_concurrent_migrations: 1,
+            in_progress_refresh: true,
             failure_detector: FailureDetectorConfig::default(),
             scheduler: SchedulerConfig::default(),
         }

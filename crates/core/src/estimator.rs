@@ -11,7 +11,6 @@
 //! (now very slow) migration finally finishes. [`MigrationEstimator::refresh_in_progress`]
 //! implements that early, monotone update.
 
-use serde::{Deserialize, Serialize};
 use simkit::stats::Ewma;
 use simkit::SimDuration;
 
@@ -35,7 +34,7 @@ use simkit::SimDuration;
 /// assert!(est.refresh_in_progress(100 * MB, SimDuration::from_secs(10)));
 /// assert!(est.estimate(100 * MB).as_secs_f64() > 6.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MigrationEstimator {
     ewma: Ewma,
     /// Prior used before any migration completes: the disk's idle

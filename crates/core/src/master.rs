@@ -21,14 +21,13 @@ use crate::types::{BoundMigration, EvictionMode, JobRef, Migration, MigrationId}
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use dyrs_obs::{cause, ObsHandle};
-use serde::{Deserialize, Serialize};
 use simkit::{Rng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Scheduling hints about the requesting job, used by the non-FIFO
 /// migration orders (future-work policies, see
 /// [`MigrationOrder`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobHint {
     /// When the job is expected to start reading (submission + platform
     /// overhead + any artificial lead-time).
@@ -51,7 +50,7 @@ impl Default for JobHint {
 /// Wire payload (`dyrs-net`'s `Message::RequestMigration` carries a list
 /// of these). `replicas` keeps submission order — a `Vec`, not a hash
 /// set — so the encoded bytes are identical across runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockRequest {
     /// Block to migrate.
     pub block: BlockId,
@@ -74,7 +73,7 @@ pub struct RequestOutcome {
 /// Per-slave knowledge at the master, fed by heartbeats (§III-D: "During
 /// heartbeats, the master stores each slave's estimate of migration time
 /// and the number of blocks currently queued on the slave").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct NodeState {
     /// Estimated migration cost, seconds per byte.
     spb: f64,
@@ -85,7 +84,7 @@ struct NodeState {
 }
 
 /// Counters for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MasterStats {
     /// Blocks ever requested for migration.
     pub requested_blocks: u64,
@@ -104,7 +103,7 @@ pub struct MasterStats {
 /// A node's health as classified by the gray-failure detector and the
 /// membership plane. Only `Healthy`, `Probation` and `Joining` nodes are
 /// Algorithm 1 candidates (a joining node under a bounded pull ramp).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeHealth {
     /// Heartbeating on time; full candidacy.
     Healthy,
@@ -161,7 +160,7 @@ impl NodeHealth {
 /// (a removed node re-enters at `Joining` via [`Master::join_node`]).
 /// `Active` covers every detector state — a suspect or quarantined node
 /// is still a member, just not a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Membership {
     /// Admitted but still inside the warm-up ramp.
     Joining,

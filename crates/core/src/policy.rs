@@ -4,8 +4,6 @@
 //! improve performance"; §III-B: "More sophisticated scheduling between
 //! applications can be implemented at the master").
 
-use serde::{Deserialize, Serialize};
-
 /// Order in which the master considers pending migrations — both for the
 /// Algorithm 1 targeting pass and for bind-on-pull responses.
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// * [`MigrationOrder::EarliestDeadlineFirst`] — blocks whose job will
 ///   start reading soonest come first, directly maximizing the chance a
 ///   block is in memory by its expected read time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MigrationOrder {
     /// First-in-first-out (the paper's published policy).
     #[default]
@@ -55,7 +53,7 @@ impl MigrationOrder {
 /// Which migration scheme the cluster runs. One enum drives both the
 /// master's binding behaviour and the simulator's setup, so every
 /// experiment can sweep configurations uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationPolicy {
     /// Plain HDFS: no migration at all; cold reads come from disk.
     Disabled,

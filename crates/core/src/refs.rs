@@ -11,11 +11,10 @@
 //! reference sets.
 
 use dyrs_dfs::{BlockId, JobId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Bidirectional job ↔ block reference tracking.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReferenceLists {
     /// block → jobs still expecting to read it.
     by_block: BTreeMap<BlockId, BTreeSet<JobId>>,

@@ -20,7 +20,6 @@ use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use dyrs_obs::{cause, ObsHandle};
 use dyrs_tiers::{TierResident, TierStore};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -65,7 +64,7 @@ pub struct Eviction {
 /// This is a wire payload ([`dyrs-net`'s] `Message::Heartbeat` carries
 /// it): scalar fields only, so its encoding is trivially byte-stable —
 /// any roll-up added later must use `BTreeMap`/sorted collections.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeartbeatReport {
     /// Estimated migration cost, seconds per byte.
     pub secs_per_byte: f64,
@@ -81,7 +80,7 @@ pub struct HeartbeatReport {
 pub const UNCALIBRATED_SECS_PER_BYTE: f64 = 1.0;
 
 /// Counters for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlaveStats {
     /// Migrations completed into memory.
     pub completed: u64,

@@ -2,11 +2,10 @@
 
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one migration (one block copied into one node's memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MigrationId(pub u64);
 
 impl fmt::Display for MigrationId {
@@ -18,7 +17,7 @@ impl fmt::Display for MigrationId {
 /// How a job's references to its migrated blocks are released (§III-C3).
 ///
 /// A job opts in "when the job submitter issues the migration instruction".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionMode {
     /// The job (or a caching framework acting for it) issues an explicit
     /// evict command when it finishes.
@@ -29,7 +28,7 @@ pub enum EvictionMode {
 }
 
 /// One job's interest in a migrated block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobRef {
     /// The interested job.
     pub job: JobId,
@@ -40,7 +39,7 @@ pub struct JobRef {
 /// One unit of migration work: copy `bytes` of `block` into memory. The
 /// block may be wanted by several jobs; all of them land on the slave's
 /// reference list when the migration is bound (§III-C3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Migration {
     /// Unique id assigned by the master.
     pub id: MigrationId,
@@ -56,19 +55,17 @@ pub struct Migration {
     /// detector (0 for a first attempt). Retry successors get a fresh
     /// [`MigrationId`] but carry the predecessor's count + 1 so the
     /// bounded-retry budget spans the whole chain.
-    #[serde(default)]
     pub attempt: u32,
     /// Destination buffer tier, kept on the wire because the protocol is
     /// append-only. Migrations always land in memory: the master always
     /// sends 0, and a slave ignores the field, so a bound migration with
     /// any other value still lands in memory.
-    #[serde(default)]
     pub dest_tier: u8,
 }
 
 /// A migration bound to a slave, as delivered by a pull response or by
 /// Ignem's immediate binding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundMigration {
     /// The migration.
     pub migration: Migration,

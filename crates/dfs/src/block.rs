@@ -2,11 +2,10 @@
 
 use crate::ids::BlockId;
 use dyrs_cluster::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Metadata for one block: its size and where its disk replicas live.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockInfo {
     /// The block's id.
     pub id: BlockId,
@@ -18,7 +17,7 @@ pub struct BlockInfo {
 }
 
 /// The NameNode's block → metadata table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BlockMap {
     blocks: BTreeMap<BlockId, BlockInfo>,
     next_id: u64,

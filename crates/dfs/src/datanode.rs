@@ -8,11 +8,10 @@
 
 use crate::ids::BlockId;
 use dyrs_cluster::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One DataNode's block inventory and serving counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataNode {
     /// The node this DataNode runs on.
     pub node: NodeId,

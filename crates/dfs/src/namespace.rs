@@ -3,11 +3,10 @@
 use crate::block::BlockMap;
 use crate::ids::{BlockId, FileId};
 use crate::placement::PlacementPolicy;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Metadata for one file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
     /// The file's id.
     pub id: FileId,
@@ -21,7 +20,7 @@ pub struct FileMeta {
 
 /// The file namespace. Creating a file splits it into blocks and places
 /// replicas via the given policy, like an HDFS client writing a file.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Namespace {
     files: Vec<FileMeta>,
     by_name: HashMap<String, FileId>,

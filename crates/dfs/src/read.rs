@@ -15,10 +15,9 @@
 
 use crate::ids::BlockId;
 use dyrs_cluster::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Where a read is served from, relative to the reading task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Medium {
     /// The block is buffered in RAM on the reader's own node.
     LocalMemory,
@@ -38,7 +37,7 @@ impl Medium {
 }
 
 /// The outcome of replica selection: read `block` from `source` via `medium`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadPlan {
     /// Block being read.
     pub block: BlockId,

@@ -1,6 +1,5 @@
 //! Engine tunables.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// Execution-engine configuration. Defaults approximate the paper's
@@ -17,7 +16,7 @@ use simkit::SimDuration;
 /// let compute = cfg.map_compute(256 << 20, 1.0).as_secs_f64();
 /// assert!(compute < (256 << 20) as f64 / cfg.disk_read_cap / 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Concurrent map tasks per node (YARN containers dedicated to maps).
     pub map_slots_per_node: usize,
@@ -66,7 +65,6 @@ pub struct EngineConfig {
     /// write time into compute. Off by default — the calibrated baseline —
     /// and exercised by the sensitivity study to show the headline
     /// conclusions survive dirtier disks.
-    #[serde(default)]
     pub model_spill_writes: bool,
     /// Containers granted per scheduling tick per job (YARN's RM hands a
     /// job its containers over several allocation rounds, not all at

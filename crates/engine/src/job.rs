@@ -1,7 +1,6 @@
 //! Jobs: specs and live state.
 
 use dyrs_dfs::JobId;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// How a job releases its migrated blocks — re-exported shape of
@@ -9,7 +8,7 @@ use simkit::{SimDuration, SimTime};
 /// depend on the dyrs core crate (dependencies point the other way in the
 /// real system too: the framework is oblivious to the file system's
 /// migration layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Submitted but not yet runnable (platform overhead / dependencies).
     Submitted,
@@ -22,7 +21,7 @@ pub enum JobStatus {
 }
 
 /// Static description of one MapReduce job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Unique id.
     pub id: JobId,
@@ -166,7 +165,7 @@ impl JobSpecBuilder {
 
 /// Live job state: stage progress and the timestamps the evaluation
 /// reports (submission → first task → map phase end → job end).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobState {
     /// The spec.
     pub spec: JobSpec,

@@ -3,11 +3,10 @@
 
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{JobId, Medium};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Completed-task record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskMetrics {
     /// Owning job.
     pub job: JobId,
@@ -26,7 +25,7 @@ pub struct TaskMetrics {
 }
 
 /// Completed-job record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
     /// The job.
     pub job: JobId,

@@ -11,10 +11,9 @@
 //! assignment at those instants.
 
 use dyrs_cluster::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Which kind of container a task needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotKind {
     /// Map container.
     Map,
@@ -38,7 +37,7 @@ pub enum SlotKind {
 /// pool.release(NodeId(1), SlotKind::Map);
 /// assert!(pool.acquire(SlotKind::Map, &[], |_| true).is_some());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlotPool {
     map_free: Vec<usize>,
     reduce_free: Vec<usize>,

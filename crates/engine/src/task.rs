@@ -2,12 +2,11 @@
 
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId, Medium};
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::fmt;
 
 /// Identifies one task across the whole simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 impl fmt::Display for TaskId {
@@ -17,7 +16,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Lifecycle phase of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskPhase {
     /// Waiting for a slot.
     Ready,
@@ -30,7 +29,7 @@ pub enum TaskPhase {
 }
 
 /// One task's mutable state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskState {
     /// Task id.
     pub id: TaskId,

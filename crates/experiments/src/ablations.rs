@@ -17,11 +17,10 @@ use crate::scenarios::{hetero_config, with_workload, SLOW_NODE};
 use dyrs::MigrationPolicy;
 use dyrs_cluster::InterferenceSchedule;
 use dyrs_workloads::sort;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// One ablation measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Variant label.
     pub variant: String,
@@ -32,15 +31,17 @@ pub struct AblationRow {
     /// Peak migration-buffer footprint across nodes, bytes.
     pub peak_buffer_bytes: u64,
 }
+simkit::json_fields!(AblationRow: variant, job_secs, memory_fraction, peak_buffer_bytes);
 
 /// A complete ablation study result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ablation {
     /// Which mechanism was ablated.
     pub name: String,
     /// Variants in declared order.
     pub rows: Vec<AblationRow>,
 }
+simkit::json_fields!(Ablation: name, rows);
 
 impl Ablation {
     /// Lookup by variant prefix.

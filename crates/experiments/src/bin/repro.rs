@@ -15,8 +15,9 @@
 
 use dyrs_experiments::{
     ablations, fig01, fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11,
-    iterative, policies, render, replay, report, sensitivity, table1, table2, tiers, DEFAULT_SEED,
+    iterative, policies, replay, report, sensitivity, table1, table2, tiers, DEFAULT_SEED,
 };
+use simkit::json;
 use std::collections::BTreeSet;
 
 struct Opts {
@@ -107,7 +108,7 @@ fn emit(opts: &Opts, target: &str, text: String, json: String) {
     println!("{}", "=".repeat(72));
     if let Some(dir) = &opts.json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
-        std::fs::write(format!("{dir}/{target}.json"), json).expect("write json");
+        std::fs::write(format!("{dir}/{target}.json"), json + "\n").expect("write json");
     }
 }
 
@@ -156,75 +157,75 @@ fn main() {
         let (text, json) = match t.as_str() {
             "fig1" => {
                 let f = fig01::run(opts.seed);
-                (fig01::render(&f), render::to_json(&f))
+                (fig01::render(&f), json::to_string_pretty(&f))
             }
             "fig2" => {
                 let f = fig02::run(opts.seed, 100_000);
-                (fig02::render(&f), render::to_json(&f))
+                (fig02::render(&f), json::to_string_pretty(&f))
             }
             "fig3" => {
                 let f = fig03::run(opts.seed, 40);
-                (fig03::render(&f), render::to_json(&f))
+                (fig03::render(&f), json::to_string_pretty(&f))
             }
             "fig4" => {
                 let f = fig04::run(opts.seed, opts.scale);
-                (fig04::render(&f), render::to_json(&f))
+                (fig04::render(&f), json::to_string_pretty(&f))
             }
             "table1" => {
                 let f = table1::run(opts.seed, opts.scale);
-                (table1::render(&f), render::to_json(&f))
+                (table1::render(&f), json::to_string_pretty(&f))
             }
             "fig5" => {
                 let f = fig05::run(opts.seed, opts.scale);
-                (fig05::render(&f), render::to_json(&f))
+                (fig05::render(&f), json::to_string_pretty(&f))
             }
             "fig6" => {
                 let f = fig06::run(opts.seed, opts.scale);
-                (fig06::render(&f), render::to_json(&f))
+                (fig06::render(&f), json::to_string_pretty(&f))
             }
             "fig7" => {
                 let f = fig07::run(opts.seed, opts.scale);
-                (fig07::render(&f), render::to_json(&f))
+                (fig07::render(&f), json::to_string_pretty(&f))
             }
             "fig8" => {
                 let f = fig08::run(opts.seed, (28.0 * opts.scale).max(7.0) as u64);
-                (fig08::render(&f), render::to_json(&f))
+                (fig08::render(&f), json::to_string_pretty(&f))
             }
             "fig9" => {
                 let f = fig09::run(opts.seed, (20.0 * opts.scale).max(5.0) as u64);
-                (fig09::render(&f), render::to_json(&f))
+                (fig09::render(&f), json::to_string_pretty(&f))
             }
             "table2" => {
                 let f = table2::run(opts.seed, (20.0 * opts.scale).max(5.0) as u64);
-                (table2::render(&f), render::to_json(&f))
+                (table2::render(&f), json::to_string_pretty(&f))
             }
             "fig10" => {
                 let f = fig10::run(opts.seed, (20.0 * opts.scale).max(5.0) as u64);
-                (fig10::render(&f), render::to_json(&f))
+                (fig10::render(&f), json::to_string_pretty(&f))
             }
             "fig11" => {
                 let f = fig11::run(opts.seed);
-                (fig11::render(&f), render::to_json(&f))
+                (fig11::render(&f), json::to_string_pretty(&f))
             }
             "iterative" => {
                 let f = iterative::run(opts.seed);
-                (iterative::render(&f), render::to_json(&f))
+                (iterative::render(&f), json::to_string_pretty(&f))
             }
             "tiers" => {
                 let f = tiers::run(opts.seed, opts.scale);
-                (tiers::render(&f), render::to_json(&f))
+                (tiers::render(&f), json::to_string_pretty(&f))
             }
             "sensitivity" => {
                 let f = sensitivity::run(opts.seed, opts.scale);
-                (sensitivity::render(&f), render::to_json(&f))
+                (sensitivity::render(&f), json::to_string_pretty(&f))
             }
             "replay" => {
                 let f = replay::run(opts.seed, opts.scale);
-                (replay::render(&f), render::to_json(&f))
+                (replay::render(&f), json::to_string_pretty(&f))
             }
             "policies" => {
                 let f = policies::run(opts.seed, opts.scale);
-                (policies::render(&f), render::to_json(&f))
+                (policies::render(&f), json::to_string_pretty(&f))
             }
             "ablations" => {
                 let gb = (20.0 * opts.scale).max(5.0) as u64;
@@ -241,7 +242,7 @@ fn main() {
                     .map(ablations::render)
                     .collect::<Vec<_>>()
                     .join("\n");
-                (text, render::to_json(&parts.to_vec()))
+                (text, json::to_string_pretty(&parts[..]))
             }
             _ => unreachable!("validated in parse_args"),
         };

@@ -6,16 +6,16 @@
 
 use crate::render::ascii_series;
 use dyrs_workloads::google;
-use serde::{Deserialize, Serialize};
 
 /// Figure 1 data: three representative utilization traces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1 {
     /// Per-node traces, 5-minute samples over 24 h, utilization in `[0, 1]`.
     pub traces: Vec<Vec<f64>>,
     /// Mean utilization per node.
     pub means: Vec<f64>,
 }
+simkit::json_fields!(Fig1: traces, means);
 
 impl Fig1 {
     /// Ratio of the busiest node's mean to the quietest node's mean.

@@ -5,10 +5,9 @@
 //! mean lead-time 8.8 s.
 
 use dyrs_workloads::google;
-use serde::{Deserialize, Serialize};
 
 /// Figure 2 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2 {
     /// Histogram of log10(lead/read) — the PDF the figure plots.
     pub bins: Vec<(f64, f64, f64)>, // (lo, hi, density)
@@ -17,6 +16,7 @@ pub struct Fig2 {
     /// Mean lead-time, seconds.
     pub mean_lead_secs: f64,
 }
+simkit::json_fields!(Fig2: bins, migratable_fraction, mean_lead_secs);
 
 /// Build the job population and its ratio distribution.
 pub fn run(seed: u64, jobs: usize) -> Fig2 {

@@ -5,11 +5,10 @@
 //! over-provisioned for IO, so residual bandwidth for migration abounds.
 
 use dyrs_workloads::google;
-use serde::{Deserialize, Serialize};
 use simkit::stats::Quantiles;
 
 /// Figure 3 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3 {
     /// CDF points `(utilization, cumulative probability)`.
     pub cdf: Vec<(f64, f64)>,
@@ -18,6 +17,7 @@ pub struct Fig3 {
     /// Mean utilization across all samples.
     pub mean: f64,
 }
+simkit::json_fields!(Fig3: cdf, under_4pct, mean);
 
 /// Sample `servers` servers over 24 h and build the CDF.
 pub fn run(seed: u64, servers: usize) -> Fig3 {

@@ -11,10 +11,9 @@ use crate::scenarios::{hetero_config, with_workload};
 use dyrs::MigrationPolicy;
 use dyrs_sim::SimResult;
 use dyrs_workloads::hive;
-use serde::{Deserialize, Serialize};
 
 /// Result for one query under one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRun {
     /// Query label ("q15").
     pub query: String,
@@ -23,9 +22,10 @@ pub struct QueryRun {
     /// End-to-end query duration (sum of its sequential stages), seconds.
     pub duration_secs: f64,
 }
+simkit::json_fields!(QueryRun: query, config, duration_secs);
 
 /// Full Figure 4 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4 {
     /// Query labels in input-size order.
     pub queries: Vec<String>,
@@ -34,6 +34,7 @@ pub struct Fig4 {
     /// All runs.
     pub runs: Vec<QueryRun>,
 }
+simkit::json_fields!(Fig4: queries, input_bytes, runs);
 
 impl Fig4 {
     /// Duration of `query` under `config`.

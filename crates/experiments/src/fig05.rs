@@ -11,10 +11,9 @@ use crate::scenarios::swim_runs;
 use dyrs::MigrationPolicy;
 use dyrs_engine::JobMetrics;
 use dyrs_workloads::swim::{size_bin, SizeBin};
-use serde::{Deserialize, Serialize};
 
 /// Per-bin mean durations for each configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// Bin labels in order (Small, Medium, Large).
     pub bins: Vec<String>,
@@ -26,6 +25,7 @@ pub struct Fig5 {
     /// Mean duration per config per bin.
     pub means: Vec<Vec<f64>>,
 }
+simkit::json_fields!(Fig5: bins, counts, configs, means);
 
 impl Fig5 {
     fn config_idx(&self, name: &str) -> usize {

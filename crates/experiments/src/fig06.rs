@@ -7,11 +7,10 @@
 
 use crate::render::{secs, TextTable};
 use crate::scenarios::swim_runs;
-use serde::{Deserialize, Serialize};
 use simkit::stats::Quantiles;
 
 /// Map-task duration summary for one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MapTaskSummary {
     /// Configuration name.
     pub config: String,
@@ -28,13 +27,15 @@ pub struct MapTaskSummary {
     /// CDF points for plotting.
     pub cdf: Vec<(f64, f64)>,
 }
+simkit::json_fields!(MapTaskSummary: config, count, mean, p50, p90, p99, cdf);
 
 /// Figure 6 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// Summaries in paper-config order.
     pub summaries: Vec<MapTaskSummary>,
 }
+simkit::json_fields!(Fig6: summaries);
 
 impl Fig6 {
     /// Summary lookup.

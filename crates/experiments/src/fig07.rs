@@ -9,11 +9,10 @@
 
 use crate::scenarios::swim_runs;
 use dyrs::MigrationPolicy;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// Figure 7 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7 {
     /// Mean (time-averaged) per-server memory used by DYRS, bytes.
     pub dyrs_mean_bytes: f64,
@@ -28,6 +27,8 @@ pub struct Fig7 {
     /// DYRS speedup ÷ in-RAM-bound speedup (the "72%").
     pub speedup_capture: f64,
 }
+simkit::json_fields!(Fig7: dyrs_mean_bytes, dyrs_peak_bytes, hypo_mean_bytes, hypo_peak_bytes,
+    migrated_fraction, speedup_capture);
 
 /// Run SWIM and compare footprints.
 pub fn run(seed: u64, scale: f64) -> Fig7 {

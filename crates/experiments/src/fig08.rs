@@ -11,11 +11,10 @@ use crate::runner::{run_all, SimTask};
 use crate::scenarios::{hetero_config, homogeneous_config, with_workload, SLOW_NODE};
 use dyrs::MigrationPolicy;
 use dyrs_workloads::sort;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// Reads per DataNode for one (configuration, cluster) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReadDistribution {
     /// Configuration name.
     pub config: String,
@@ -24,6 +23,7 @@ pub struct ReadDistribution {
     /// Reads served by each node.
     pub reads: Vec<u64>,
 }
+simkit::json_fields!(ReadDistribution: config, heterogeneous, reads);
 
 impl ReadDistribution {
     /// Slow-node reads relative to the per-node mean.
@@ -38,11 +38,12 @@ impl ReadDistribution {
 }
 
 /// Figure 8 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8 {
     /// All distributions (3 policies × 2 clusters).
     pub distributions: Vec<ReadDistribution>,
 }
+simkit::json_fields!(Fig8: distributions);
 
 impl Fig8 {
     /// Lookup by config name and cluster kind.

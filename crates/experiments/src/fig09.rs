@@ -18,7 +18,6 @@ use crate::scenarios::{homogeneous_config, with_workload, DD_STREAMS};
 use dyrs::MigrationPolicy;
 use dyrs_cluster::{InterferenceSchedule, NodeId};
 use dyrs_workloads::sort;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// The five paper patterns, by label.
@@ -58,7 +57,7 @@ pub fn patterns() -> Vec<(&'static str, Vec<InterferenceSchedule>)> {
 }
 
 /// Estimate series for one pattern.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PatternSeries {
     /// Pattern label.
     pub label: String,
@@ -69,13 +68,15 @@ pub struct PatternSeries {
     /// Sort job runtime under this pattern (feeds Table II).
     pub job_secs: f64,
 }
+simkit::json_fields!(PatternSeries: label, node1, node2, job_secs);
 
 /// Figure 9 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9 {
     /// One series pack per pattern, in paper order.
     pub series: Vec<PatternSeries>,
 }
+simkit::json_fields!(Fig9: series);
 
 impl Fig9 {
     /// Lookup by label prefix ("9a".."9e").

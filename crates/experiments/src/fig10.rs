@@ -11,11 +11,10 @@ use crate::runner::{run_all, SimTask};
 use crate::scenarios::{hetero_config, with_workload, SLOW_NODE};
 use dyrs::MigrationPolicy;
 use dyrs_workloads::sort;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// One read in the tail timeline.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TailRead {
     /// Seconds before the job's last read (≤ 0).
     pub t_rel_secs: f64,
@@ -24,9 +23,10 @@ pub struct TailRead {
     /// Whether it came from memory.
     pub from_memory: bool,
 }
+simkit::json_fields!(TailRead: t_rel_secs, source, from_memory);
 
 /// Tail timeline for one scheme.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TailTimeline {
     /// Scheme name.
     pub config: String,
@@ -37,6 +37,7 @@ pub struct TailTimeline {
     /// Job runtime, seconds.
     pub job_secs: f64,
 }
+simkit::json_fields!(TailTimeline: config, tail, tail_span_secs, job_secs);
 
 impl TailTimeline {
     /// Tail reads served by the slow node's *disk* (the straggler signature).
@@ -54,13 +55,14 @@ impl TailTimeline {
 }
 
 /// Figure 10 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10 {
     /// Naive baseline timeline.
     pub naive: TailTimeline,
     /// DYRS timeline.
     pub dyrs: TailTimeline,
 }
+simkit::json_fields!(Fig10: naive, dyrs);
 
 /// Run a 10 GB Sort under the naive scheme and DYRS on the handicapped
 /// cluster, and extract the last-30-reads timelines.

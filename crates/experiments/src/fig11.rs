@@ -15,11 +15,10 @@ use crate::runner::{run_all, SimTask};
 use crate::scenarios::{homogeneous_config, with_workload};
 use dyrs::MigrationPolicy;
 use dyrs_workloads::sort;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// One (size, lead-time, policy) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SortRun {
     /// Input size, GB.
     pub input_gb: u64,
@@ -32,9 +31,10 @@ pub struct SortRun {
     /// End-to-end duration (includes lead-time), seconds.
     pub e2e_secs: f64,
 }
+simkit::json_fields!(SortRun: input_gb, extra_lead_secs, config, map_phase_secs, e2e_secs);
 
 /// Figure 11 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11 {
     /// Sizes swept in (a) at zero extra lead.
     pub sizes_gb: Vec<u64>,
@@ -45,6 +45,7 @@ pub struct Fig11 {
     /// All runs.
     pub runs: Vec<SortRun>,
 }
+simkit::json_fields!(Fig11: sizes_gb, leads_secs, lead_sizes_gb, runs);
 
 impl Fig11 {
     /// Lookup one run.

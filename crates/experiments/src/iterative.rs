@@ -12,10 +12,9 @@ use crate::runner::{run_all, SimTask};
 use crate::scenarios::{homogeneous_config, with_workload};
 use dyrs::MigrationPolicy;
 use dyrs_workloads::iterative;
-use serde::{Deserialize, Serialize};
 
 /// Result for one (application, policy) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterRun {
     /// Application name.
     pub app: String,
@@ -26,6 +25,7 @@ pub struct IterRun {
     /// Mean of iterations 2+, seconds.
     pub later_iter_secs: f64,
 }
+simkit::json_fields!(IterRun: app, config, first_iter_secs, later_iter_secs);
 
 impl IterRun {
     /// The first-iteration penalty (the paper's 15× / 2.5×).
@@ -39,11 +39,12 @@ impl IterRun {
 }
 
 /// Full experiment data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterStudy {
     /// All runs.
     pub runs: Vec<IterRun>,
 }
+simkit::json_fields!(IterStudy: runs);
 
 impl IterStudy {
     /// Lookup.

@@ -23,8 +23,8 @@
 //! | [`fig11`] | Fig. 11 | speedup vs input size and lead-time trade-off |
 //! | [`tiers`] | extension | 2-tier vs 3/4-tier stacks: speedup & wasted-migration rate |
 //!
-//! The [`runner`] module runs independent simulations in parallel across
-//! a thread pool (`crossbeam::scope`), which is how the multi-config
+//! The [`runner`] module runs independent simulations in parallel on
+//! scoped threads (`std::thread::scope`), which is how the multi-config
 //! sweeps stay fast.
 
 #![forbid(unsafe_code)]

@@ -15,10 +15,9 @@ use crate::runner::{run_all, SimTask};
 use crate::scenarios::{hetero_config, swim_params};
 use dyrs::{MigrationOrder, MigrationPolicy};
 use dyrs_workloads::swim::{self, size_bin, SizeBin};
-use serde::{Deserialize, Serialize};
 
 /// Metrics for one ordering discipline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrderRow {
     /// Discipline name ("FIFO" / "SJF" / "EDF").
     pub order: String,
@@ -33,13 +32,16 @@ pub struct OrderRow {
     /// Pending migrations cancelled by reads (wasted intent).
     pub missed_reads: u64,
 }
+simkit::json_fields!(OrderRow: order, mean_job_secs, small_job_secs, large_job_secs,
+    memory_fraction, missed_reads);
 
 /// The full study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyStudy {
     /// One row per discipline, in [`MigrationOrder::all`] order.
     pub rows: Vec<OrderRow>,
 }
+simkit::json_fields!(PolicyStudy: rows);
 
 impl PolicyStudy {
     /// Row lookup.

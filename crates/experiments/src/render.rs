@@ -1,9 +1,8 @@
-//! Plain-text rendering of tables and series, plus JSON export.
+//! Plain-text rendering of tables and series.
 //!
 //! The harness prints the same rows/series the paper's tables and figures
 //! report; these helpers keep the formatting uniform across experiments.
 
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// A simple aligned text table.
@@ -140,11 +139,6 @@ pub fn ascii_series(points: &[(f64, f64)], width: usize, height: usize) -> Strin
     out
 }
 
-/// Serialize any result to pretty JSON for machine consumption.
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("results are serializable")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +180,5 @@ mod tests {
         assert_eq!(lines.len(), 7); // 5 levels + rule + label
         assert!(lines[6].contains("ymax"));
         assert!(ascii_series(&[], 10, 3).is_empty());
-    }
-
-    #[test]
-    #[ignore = "needs the real serde_json: the offline stand-in renders null (vendor/README.md)"]
-    fn json_roundtrip() {
-        // Only a real `Serialize` derive reads the field; the offline
-        // stand-in generates nothing, so it would otherwise warn as dead.
-        #[allow(dead_code)]
-        #[derive(Serialize)]
-        struct S {
-            x: u32,
-        }
-        assert!(to_json(&S { x: 4 }).contains("\"x\": 4"));
     }
 }

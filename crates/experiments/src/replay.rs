@@ -16,11 +16,10 @@ use dyrs::MigrationPolicy;
 use dyrs_cluster::NodeId;
 use dyrs_sim::SimConfig;
 use dyrs_workloads::{google, swim};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// One configuration's outcome under replayed conditions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayRow {
     /// Configuration name.
     pub config: String,
@@ -31,9 +30,10 @@ pub struct ReplayRow {
     /// Fraction of input read from memory.
     pub memory_fraction: f64,
 }
+simkit::json_fields!(ReplayRow: config, mean_job_secs, speedup_vs_hdfs, memory_fraction);
 
 /// The replay study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Replay {
     /// Mean background utilization per node (duty cycles of the replayed
     /// traces).
@@ -41,6 +41,7 @@ pub struct Replay {
     /// Rows in paper-config order.
     pub rows: Vec<ReplayRow>,
 }
+simkit::json_fields!(Replay: background_means, rows);
 
 impl Replay {
     /// Row lookup by config name.

@@ -10,11 +10,10 @@
 //! ```
 
 use crate::{fig01, fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig11, table1, table2};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One row of the paper-vs-measured comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReportRow {
     /// Which table/figure.
     pub artifact: String,

@@ -2,15 +2,14 @@
 //!
 //! Every experiment is a set of *independent* simulations (policies ×
 //! parameters × seeds). Each simulation is single-threaded and
-//! deterministic; the sweep fans them out over a `crossbeam::scope`
-//! worker pool with static round-robin partitioning — no shared mutable
+//! deterministic; the sweep fans them out over `std::thread::scope`
+//! workers with static round-robin partitioning — no shared mutable
 //! state during the run, per-worker result buffers, one merge at the
 //! barrier. Results come back in input order regardless of which worker
 //! ran what, so parallel and serial sweeps are bit-identical.
 
 use dyrs_engine::JobSpec;
 use dyrs_sim::{SimConfig, SimResult, Simulation};
-use parking_lot::Mutex;
 
 /// One simulation to run: a label the experiment uses to find the result,
 /// plus the full configuration and workload.
@@ -51,43 +50,33 @@ pub fn run_all(tasks: Vec<SimTask>, threads: usize) -> Vec<(String, SimResult)> 
     .min(n);
 
     if threads <= 1 {
-        return tasks
-            .into_iter()
-            .map(|t| (t.label, Simulation::new(t.cfg, t.jobs).run()))
-            .collect();
+        return tasks.into_iter().map(run_one).collect();
     }
 
     // Static round-robin partitioning: worker w takes tasks w, w+T, w+2T…
-    // Each slot is written exactly once, so a mutexed slot vector has no
-    // contention in practice (lock per finished sim, not per event).
-    let mut slots: Vec<Option<(String, SimResult)>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let slots = Mutex::new(slots);
-    let tasks: Vec<Option<SimTask>> = tasks.into_iter().map(Some).collect();
-    let tasks = Mutex::new(tasks);
-
-    crossbeam::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let tasks = &tasks;
-            scope.spawn(move |_| {
-                let mut i = w;
-                while i < n {
-                    let task = tasks.lock()[i].take().expect("each index taken once");
-                    let result = Simulation::new(task.cfg, task.jobs).run();
-                    slots.lock()[i] = Some((task.label, result));
-                    i += threads;
-                }
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
+    // and returns its results in that order, so interleaving the workers'
+    // buffers restores input order.
+    let mut shares: Vec<Vec<SimTask>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, task) in tasks.into_iter().enumerate() {
+        shares[i % threads].push(task);
+    }
+    let mut results: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = shares
+            .into_iter()
+            .map(|share| scope.spawn(move || share.into_iter().map(run_one).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("sweep worker panicked").into_iter())
+            .collect()
+    });
+    (0..n)
+        .map(|i| results[i % threads].next().expect("every task ran"))
         .collect()
+}
+
+fn run_one(task: SimTask) -> (String, SimResult) {
+    (task.label, Simulation::new(task.cfg, task.jobs).run())
 }
 
 #[cfg(test)]

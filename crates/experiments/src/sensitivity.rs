@@ -16,12 +16,11 @@ use dyrs::MigrationPolicy;
 use dyrs_cluster::InterferenceSchedule;
 use dyrs_sim::SimConfig;
 use dyrs_workloads::swim;
-use serde::{Deserialize, Serialize};
 
 const MB: f64 = (1u64 << 20) as f64;
 
 /// One perturbation of the model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Variant {
     /// Label ("baseline", "dd-weight-20", ...).
     pub name: String,
@@ -32,6 +31,7 @@ pub struct Variant {
     /// Ignem speedup.
     pub ignem: f64,
 }
+simkit::json_fields!(Variant: name, dyrs, ram, ignem);
 
 impl Variant {
     /// The conclusions that must hold everywhere: DYRS wins, the bound
@@ -42,11 +42,12 @@ impl Variant {
 }
 
 /// The full study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sensitivity {
     /// All variants, baseline first.
     pub variants: Vec<Variant>,
 }
+simkit::json_fields!(Sensitivity: variants);
 
 impl Sensitivity {
     /// Lookup by name prefix.

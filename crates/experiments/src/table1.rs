@@ -7,10 +7,9 @@
 use crate::render::{pct, secs, TextTable};
 use crate::scenarios::swim_runs;
 use dyrs::MigrationPolicy;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Configuration name.
     pub config: String,
@@ -19,13 +18,15 @@ pub struct Table1Row {
     /// Speedup w.r.t. HDFS (1 − d/d_hdfs); `None` for the HDFS row.
     pub speedup_vs_hdfs: Option<f64>,
 }
+simkit::json_fields!(Table1Row: config, mean_duration_secs, speedup_vs_hdfs);
 
 /// Full Table I result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Rows in paper order (HDFS, RAM, Ignem, DYRS).
     pub rows: Vec<Table1Row>,
 }
+simkit::json_fields!(Table1: rows);
 
 impl Table1 {
     /// Row lookup by policy name.

@@ -9,10 +9,9 @@
 
 use crate::fig09;
 use crate::render::TextTable;
-use serde::{Deserialize, Serialize};
 
 /// One Table II row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Pattern label.
     pub pattern: String,
@@ -21,13 +20,15 @@ pub struct Table2Row {
     /// Sort runtime, seconds.
     pub runtime_secs: f64,
 }
+simkit::json_fields!(Table2Row: pattern, interference_nodes, runtime_secs);
 
 /// Table II data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Rows in paper order (9a..9e).
     pub rows: Vec<Table2Row>,
 }
+simkit::json_fields!(Table2: rows);
 
 impl Table2 {
     /// Runtime of a pattern by prefix.

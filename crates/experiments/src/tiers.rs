@@ -25,7 +25,6 @@ use dyrs::{MigrationPolicy, TierStackSpec};
 use dyrs_dfs::JobId;
 use dyrs_engine::JobSpec;
 use dyrs_sim::{FileSpec, SimConfig};
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
 /// Files in the working set.
@@ -41,7 +40,7 @@ const ROUNDS: usize = 3;
 const ARRIVAL_GAP_SECS: u64 = 8;
 
 /// One storage-stack configuration in the sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TierSweepRow {
     /// Stack label ("2-tier", "3-tier", ...).
     pub stack: String,
@@ -65,13 +64,16 @@ pub struct TierSweepRow {
     /// legacy-equivalence witness; CI replays it).
     pub trace_digest: u64,
 }
+simkit::json_fields!(TierSweepRow: stack, policy, mean_job_secs, speedup_pct, completed, demoted,
+    dropped, wasted_rate, trace_digest);
 
 /// Full tier-sweep data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TierSweep {
     /// Rows in sweep order: 2-tier, 3-tier, 4-tier.
     pub rows: Vec<TierSweepRow>,
 }
+simkit::json_fields!(TierSweep: rows);
 
 impl TierSweep {
     /// Lookup a row by stack label.

@@ -9,9 +9,9 @@
 //!   handshake (`Hello`/`Welcome`/`Reject`) and the shutdown barrier
 //!   (`Shutdown`/`Bye`).
 //! * [`wire`] — a hand-rolled, byte-stable binary codec (big-endian,
-//!   fixed-width, append-only enum tags). The vendored `serde` is a
-//!   no-op stub, so serialization is explicit rather than derived; the
-//!   upside is the encoding is trivially auditable and pinned by tests.
+//!   fixed-width, append-only enum tags). Serialization is explicit
+//!   rather than derived, so the encoding is trivially auditable and
+//!   pinned by tests.
 //! * [`frame`] — `DYRS`-magic, version-tagged, length-prefixed framing
 //!   with hard caps, for byte streams and for datagram-style buffers.
 //! * [`transport::Transport`] — how an endpoint sends/receives framed

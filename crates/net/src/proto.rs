@@ -19,7 +19,6 @@ use dyrs::EvictionMode;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use dyrs_obs::{FlightRecord, StatsSnapshot};
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
 /// Protocol version this build speaks (both minimum and maximum — each
@@ -28,7 +27,7 @@ use simkit::SimTime;
 pub const PROTOCOL_VERSION: u16 = 2;
 
 /// What kind of endpoint is introducing itself in a [`Message::Hello`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// A DataNode-side migration slave.
     Slave,
@@ -41,7 +40,7 @@ pub enum Role {
 /// relays `Node*` scopes to the named slave, rewriting the scope on the
 /// reply so the requester can tell whose data arrived. A slave only
 /// answers `Local*` scopes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatsScope {
     /// The receiving daemon's own stats snapshot.
     Local,
@@ -56,7 +55,7 @@ pub enum StatsScope {
 /// One protocol message. Direction is part of the contract and noted on
 /// every variant; a peer receiving a message flowing the wrong way must
 /// treat it as a protocol error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     // -- handshake -------------------------------------------------------
     /// Connector → acceptor: identify and negotiate. `node` is the

@@ -1,7 +1,6 @@
 //! Deterministic binary encoding for protocol payloads.
 //!
-//! The vendored `serde` is a no-op marker stub (see `vendor/README.md`),
-//! so the wire format is hand-rolled here and — deliberately — *fully
+//! The wire format is written by hand here and is — deliberately — *fully
 //! specified*: big-endian fixed-width integers, `f64` as its IEEE-754 bit
 //! pattern, `u8` discriminant tags for enums, and `u32` length prefixes
 //! for sequences and strings. There is no padding, no alignment, and no

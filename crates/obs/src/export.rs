@@ -1,28 +1,18 @@
 //! Trace-file export: JSONL tables plus a Chrome `trace_event` file.
 //!
-//! The vendored `serde` is a compile-only stub, so all JSON here is built
-//! by hand. That is safe because every string that reaches an export is a
-//! controlled static identifier (state names, cause constants, metric
-//! names) — nothing needs escaping — and every number is either an integer
-//! or a finite `f64` (non-finite values are rendered as `null`
-//! defensively). Output ordering follows the deterministic container
-//! ordering of [`ObsReport`], so same-seed runs export byte-identical
-//! files.
+//! Each record is written with `write!` in a fixed key order. Every
+//! string that reaches an export is a controlled static identifier (state
+//! names, cause constants, metric names), so nothing needs escaping, and
+//! every `f64` goes through [`simkit::json::number`], which writes `null`
+//! for a non-finite value. Output ordering follows the deterministic
+//! container ordering of [`ObsReport`], so same-seed runs export
+//! byte-identical files.
 
 use crate::report::ObsReport;
 use crate::span::SpanEvent;
+use simkit::json;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// Render an `f64` as a JSON value (`null` for non-finite input — Rust's
-/// `Display` would otherwise emit `NaN`/`inf`, which is not JSON).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 fn push_span_json(out: &mut String, ev: &SpanEvent) {
     let _ = write!(
@@ -69,7 +59,7 @@ impl ObsReport {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "[{},{}]", t.as_micros(), json_f64(v));
+                let _ = write!(out, "[{},{}]", t.as_micros(), json::number(v));
             }
             out.push_str("]}\n");
         }
@@ -82,7 +72,7 @@ impl ObsReport {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_f64(e));
+                let _ = write!(out, "{}", json::number(e));
             }
             let _ = write!(out, "],\"underflow\":{},\"counts\":[", h.underflow());
             for i in 0..h.num_bins() {
@@ -124,7 +114,7 @@ impl ObsReport {
                     "{{\"node\":{},\"rank\":{},\"est_finish_secs\":{}}}",
                     c.node,
                     c.rank,
-                    json_f64(c.est_finish_secs),
+                    json::number(c.est_finish_secs),
                 );
             }
             let _ = writeln!(
@@ -193,7 +183,7 @@ impl ObsReport {
                     key,
                     key,
                     t.as_micros(),
-                    json_f64(v),
+                    json::number(v),
                 );
             }
         }
@@ -331,8 +321,8 @@ mod tests {
 
     #[test]
     fn non_finite_gauge_values_render_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.25), "1.25");
+        assert_eq!(json::number(f64::NAN).to_string(), "null");
+        assert_eq!(json::number(f64::INFINITY).to_string(), "null");
+        assert_eq!(json::number(1.25).to_string(), "1.25");
     }
 }

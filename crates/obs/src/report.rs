@@ -1,7 +1,6 @@
 //! The collected observability data for one simulation run.
 
 use crate::span::{CandidateScore, ProvenanceRecord, SpanEvent};
-use serde::{Deserialize, Serialize};
 use simkit::stats::{Histogram, TimeSeries};
 use simkit::SimTime;
 use std::collections::BTreeMap;
@@ -15,7 +14,7 @@ use std::collections::BTreeMap;
 /// All containers iterate deterministically (`Vec` in recording order,
 /// `BTreeMap` in key order), which is what makes the exported trace files
 /// byte-identical across same-seed runs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsReport {
     /// Whether recording was active. `false` means the run was executed
     /// with observability off (disconnected handle or `obs` feature
@@ -91,7 +90,7 @@ impl ObsReport {
 /// stamps them as one pass, or
 /// [`ObsHandle::provenance_discard`](crate::ObsHandle::provenance_discard)
 /// drops them.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
     passes: Vec<PassHeader>,
     /// Every page but the last holds exactly `LOG_PAGE` rows, so row `i`
@@ -107,7 +106,7 @@ pub struct ProvenanceLog {
 const LOG_PAGE: usize = 4096;
 
 /// What every record of one pass shares.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PassHeader {
     pub(crate) at: SimTime,
     pub(crate) pass: u64,
@@ -119,7 +118,7 @@ pub(crate) struct PassHeader {
 
 /// One scored entry. Its candidates start at `(page, offset)` and run to
 /// the next row's start on the same page, or to the end of the page.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Row {
     pub(crate) migration: u64,
     pub(crate) block: u64,

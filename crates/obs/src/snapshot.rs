@@ -19,7 +19,6 @@
 //! (`String`, not `&'static str`) so the types can cross the wire via
 //! `dyrs-net` and outlive the recorder that produced them.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
 /// How many recent span transitions the flight recorder retains. Old
@@ -36,7 +35,7 @@ pub const TOP_WINNERS: usize = 8;
 pub const MAX_AUTO_DUMPS: usize = 8;
 
 /// The latest sample of one gauge series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GaugeSample {
     /// Metric name, e.g. `sched.pending_depth`.
     pub name: String,
@@ -50,7 +49,7 @@ pub struct GaugeSample {
 }
 
 /// Point-in-time view of a live recorder; see [the module docs](self).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Recorder clock at scrape time.
     pub at: SimTime,
@@ -95,7 +94,7 @@ impl StatsSnapshot {
 
 /// One entry in the flight recorder ring: a span transition, or an
 /// out-of-band marker (migration 0 / block 0) such as a quarantine.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightEntry {
     /// Simulated time of the transition.
     pub at: SimTime,
@@ -116,7 +115,7 @@ pub struct FlightEntry {
 /// A dump of the flight recorder: the last [`FLIGHT_CAPACITY`] span
 /// transitions leading up to `at`, stamped with why the dump happened
 /// and which node (if any) triggered it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightRecord {
     /// Why the dump was taken (`on-demand`, `node-quarantined`,
     /// `protocol-violation`, ...).

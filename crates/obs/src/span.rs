@@ -6,7 +6,6 @@
 //! record (migration id, block, bytes, node, cause) so a single JSONL line
 //! can be understood without joining against other tables.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
 /// One state in a migration's lifecycle.
@@ -17,7 +16,7 @@ use simkit::SimTime;
 /// heartbeat pull (`Bound`, §III-A1), and the slave starts streaming when
 /// disk bandwidth and memory admit it (`Started`). Every migration ends in
 /// exactly one terminal state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanState {
     /// Queued at the master, not yet assigned a preferred source node.
     Pending,
@@ -138,7 +137,7 @@ pub mod cause {
 }
 
 /// One lifecycle transition of one migration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Simulated time of the transition.
     pub at: SimTime,
@@ -160,7 +159,7 @@ pub struct SpanEvent {
 
 /// Estimated finish time for one candidate replica node considered by
 /// Algorithm 1 (`finish[n] = spb[n]·queued_bytes[n] + spb[n]·bytes`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CandidateScore {
     /// Candidate source node.
     pub node: u32,
@@ -176,7 +175,7 @@ pub struct CandidateScore {
 /// `None` means no live replica was available. A placement is thus fully
 /// explainable from this record alone: the winner's score is ≤ every other
 /// candidate's, with rank breaking exact ties.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProvenanceRecord {
     /// Simulated time of the retarget pass.
     pub at: SimTime,

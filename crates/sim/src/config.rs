@@ -4,12 +4,11 @@ use dyrs::{DyrsConfig, MigrationPolicy};
 use dyrs_cluster::{ClusterSpec, InterferenceSchedule, NodeId};
 use dyrs_dfs::JobId;
 use dyrs_engine::EngineConfig;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
 /// A file that exists in the DFS before the workload starts (all
 /// evaluation inputs are cold, pre-existing data).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSpec {
     /// Name (referenced by `JobSpec::input_files`).
     pub name: String,
@@ -28,7 +27,7 @@ impl FileSpec {
 }
 
 /// Failure injections, applied at fixed instants (§III-C).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureEvent {
     /// DYRS master process restart: all soft migration state is lost.
     /// The process comes straight back on the same server ("we can
@@ -115,7 +114,7 @@ pub enum FailureEvent {
 /// catch. Every fault flows through the fluid model, so degraded disks and
 /// frozen streams contend with real traffic instead of being modeled as
 /// instantaneous state flips.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GrayFault {
     /// The node's disk silently degrades to `factor_milli`/1000 of its
     /// spec bandwidth (a dying disk, a firmware retry storm). Every stream
@@ -193,7 +192,7 @@ impl GrayFault {
 
 /// How master↔slave (and client↔master) interactions travel inside the
 /// simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WireMode {
     /// Direct method calls on the in-process state machines — the
     /// historical fast path.
@@ -208,7 +207,7 @@ pub enum WireMode {
 }
 
 /// Everything needed to build a [`crate::Simulation`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Hardware.
     pub cluster: ClusterSpec,
@@ -232,7 +231,6 @@ pub struct SimConfig {
     pub failures: Vec<FailureEvent>,
     /// Gray-fault injections (degraded disks, lost heartbeats, frozen
     /// streams, flapping nodes).
-    #[serde(default)]
     pub gray_faults: Vec<GrayFault>,
     /// Hard wall on simulated time (safety net against runaway runs).
     pub horizon: SimTime,
@@ -242,15 +240,12 @@ pub struct SimConfig {
     /// Re-replicate blocks lost with a failed server (HDFS behaviour).
     /// The repair traffic contends with reads and migrations for disk
     /// bandwidth, exactly like production.
-    #[serde(default = "default_re_replication")]
     pub re_replication: bool,
     /// Grace period before repairs start after a node is confirmed down
     /// (HDFS waits ~10 min by default; shortened to simulation timescales).
-    #[serde(default = "default_re_replication_delay")]
     pub re_replication_delay: simkit::SimDuration,
     /// Whether protocol interactions go through the wire codec
     /// ([`WireMode::Loopback`]) or direct calls ([`WireMode::InProcess`]).
-    #[serde(default)]
     pub wire: WireMode,
     /// Admin-plane scrape cadence. Every `scrape_interval` of simulated
     /// time the driver snapshots the live observability state and pushes
@@ -259,7 +254,6 @@ pub struct SimConfig {
     /// is a pure read: it must not change the trace digest, any exported
     /// series, or the wire-frame accounting (tests/determinism.rs pins
     /// this). `None` disables scraping.
-    #[serde(default)]
     pub scrape_interval: Option<simkit::SimDuration>,
     /// Batch failure-detector processing instead of running a full
     /// detector sweep on every heartbeat arrival. With `n` nodes the
@@ -269,16 +263,7 @@ pub struct SimConfig {
     /// since the last pass in one O(n) scan. Off by default: the event
     /// stream (and thus every replay digest) is unchanged unless a run
     /// opts in.
-    #[serde(default)]
     pub batch_heartbeats: bool,
-}
-
-fn default_re_replication() -> bool {
-    true
-}
-
-fn default_re_replication_delay() -> simkit::SimDuration {
-    simkit::SimDuration::from_secs(30)
 }
 
 impl SimConfig {
@@ -299,8 +284,8 @@ impl SimConfig {
             gray_faults: Vec::new(),
             horizon: SimTime::from_secs(24 * 3600),
             mem_limit: None,
-            re_replication: default_re_replication(),
-            re_replication_delay: default_re_replication_delay(),
+            re_replication: true,
+            re_replication_delay: simkit::SimDuration::from_secs(30),
             wire: WireMode::default(),
             scrape_interval: None,
             batch_heartbeats: false,

@@ -5,12 +5,11 @@ use dyrs::slave::SlaveStats;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId, Medium};
 use dyrs_engine::{JobMetrics, TaskMetrics};
-use serde::{Deserialize, Serialize};
 use simkit::stats::TimeSeries;
 use simkit::{SimDuration, SimTime};
 
 /// One block read, as it completed (drives Figs. 8 and 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockReadRecord {
     /// When the read finished.
     pub at: SimTime,
@@ -27,7 +26,7 @@ pub struct BlockReadRecord {
 }
 
 /// Per-node roll-up.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeReport {
     /// The node.
     pub node: NodeId,
@@ -56,7 +55,7 @@ pub struct NodeReport {
 }
 
 /// Everything a run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// Per-job metrics, in completion order.
     pub jobs: Vec<JobMetrics>,
@@ -81,7 +80,6 @@ pub struct SimResult {
     /// top of the event stream: any `scrapes > 0` run must produce the
     /// same `trace_digest` and the same exported report as the
     /// `scrapes == 0` run of the identical scenario.
-    #[serde(default)]
     pub scrapes: u64,
     /// FNV-1a digest of the dispatched event stream (time + event, in
     /// order). Identical scenarios under identical seeds must reproduce
@@ -94,11 +92,9 @@ pub struct SimResult {
     /// [`WireMode::InProcess`](crate::config::WireMode::InProcess); under
     /// `Loopback` every master↔slave interaction pays the full
     /// encode→frame→decode round trip and is counted here.
-    #[serde(default)]
     pub wire_frames: u64,
     /// Encoded protocol bytes (headers included) moved through the wire
     /// codec; zero in `InProcess` mode.
-    #[serde(default)]
     pub wire_bytes: u64,
     /// Observability report: migration lifecycle spans, metric registry,
     /// and Algorithm 1 decision provenance. Empty (with `enabled: false`)

@@ -25,6 +25,7 @@
 //! | [`rng`] | xoshiro256++ RNG + uniform/exponential/normal/lognormal/pareto/zipf sampling |
 //! | [`stats`] | EWMA, online moments, histograms, quantiles, time-series recorder |
 //! | [`fluid`] | fluid-flow shared resource (processor sharing with concurrency degradation) |
+//! | [`json`] | the workspace's JSON output rules and a pretty writer ([`json::ToJson`]) |
 //! | [`slab`] | generational slab allocator for hot-path records |
 
 #![forbid(unsafe_code)]
@@ -32,6 +33,7 @@
 
 pub mod audit;
 pub mod fluid;
+pub mod json;
 pub mod queue;
 pub mod rng;
 pub mod slab;

@@ -1,7 +1,5 @@
 //! Exponentially weighted moving average.
 
-use serde::{Deserialize, Serialize};
-
 /// An exponentially weighted moving average over `f64` samples.
 ///
 /// `alpha` is the weight of the newest sample: `v ← alpha·x + (1−alpha)·v`.
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// This is the estimator DYRS slaves use for per-block migration time
 /// (paper §IV-A): it smooths random disk-bandwidth fluctuation while still
 /// tracking recent conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

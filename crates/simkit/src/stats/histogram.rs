@@ -1,7 +1,5 @@
 //! Fixed-bin histograms (linear or logarithmic bin edges).
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram with precomputed bin edges.
 ///
 /// Samples below the first edge land in an underflow bin and samples at or
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.overflow(), 1);     // 42.0
 /// assert_eq!(h.total(), 4);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>, // len = edges.len() + 1 (underflow .. overflow)

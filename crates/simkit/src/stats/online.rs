@@ -1,13 +1,11 @@
 //! Streaming moments (Welford's algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass mean / variance / min / max accumulator.
 ///
 /// Uses Welford's numerically stable update; O(1) memory regardless of the
 /// number of samples, so every task/job/node in a large simulation can carry
 /// one of these.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,

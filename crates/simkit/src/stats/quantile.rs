@@ -1,7 +1,5 @@
 //! Empirical quantiles and CDFs over collected samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear-interpolated percentile of a **sorted** slice.
 ///
 /// `p` is in `[0, 100]`. Returns 0.0 for an empty slice (simulation metrics
@@ -61,10 +59,9 @@ pub fn cdf_points(samples: &[f64], points: usize) -> Vec<(f64, f64)> {
 /// assert_eq!(q.median(), 2.5);
 /// assert_eq!(q.fraction_at_most(3.0), 0.75);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Quantiles {
     samples: Vec<f64>,
-    #[serde(skip)]
     sorted: bool,
 }
 

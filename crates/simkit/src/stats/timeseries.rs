@@ -2,7 +2,6 @@
 //! usage over time, utilization traces, ...).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// An append-only series of `(time, value)` observations.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let mean = ts.time_weighted_mean(SimTime::from_secs(1), SimTime::from_secs(9), 0.0);
 /// assert!((mean - 15.0).abs() < 1e-9); // 4s at 10 + 4s at 20
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

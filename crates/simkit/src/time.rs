@@ -6,7 +6,6 @@
 //! so they are `Copy`, totally ordered, and hash/compare exactly — no
 //! floating-point drift can make two runs diverge.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -14,15 +13,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An instant on the simulated clock (microseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (microseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -1,11 +1,10 @@
 //! Static tier descriptions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one tier within a node's stack. Tier 0 is the fastest
 /// (memory); the highest index is the backing disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(pub u8);
 
 impl TierId {
@@ -23,7 +22,7 @@ impl fmt::Display for TierId {
 }
 
 /// Static description of one storage tier on one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierSpec {
     /// Human-readable tier name ("mem", "nvme", "ssd", "hdd").
     pub name: String,
@@ -35,7 +34,6 @@ pub struct TierSpec {
     /// Bandwidth degradation per extra concurrent stream
     /// (`cap(n) = bw / (1 + d·(n−1))`); non-zero only for seek-bound
     /// media.
-    #[serde(default)]
     pub degradation: f64,
 }
 
@@ -58,7 +56,7 @@ const GIB_F: f64 = (1u64 << 30) as f64;
 /// backing disk; every tier above it is a buffer tier with finite
 /// capacity. Memory holds migrated copies, the tiers below it demoted
 /// ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierStackSpec {
     /// Tiers fastest→slowest; at least two (a buffer over a backing disk).
     pub tiers: Vec<TierSpec>,

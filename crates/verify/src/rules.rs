@@ -289,6 +289,7 @@ pub fn check(
                 "UdpSocket",
                 "thread::spawn",
                 "crossbeam::scope",
+                "thread::scope",
             ]
             .iter()
             .find(|t| has_token(line, t))

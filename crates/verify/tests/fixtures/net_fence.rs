@@ -21,6 +21,11 @@ pub fn scoped_threads() {
     crossbeam::scope(|s| drop(s)).expect("scope");
 }
 
+pub fn std_scoped_threads() {
+    // net-fence: and so are std's.
+    std::thread::scope(|s| drop(s));
+}
+
 pub fn says_tcpstream_in_a_string() -> &'static str {
     "TcpStream is only prose here and must not fire"
 }

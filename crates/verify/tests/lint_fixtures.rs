@@ -39,6 +39,18 @@ fn fixtures_trigger_every_rule() {
         ],
         "every rule must fire on the fixtures; findings: {findings:#?}"
     );
+    for spawn in [
+        "std::thread::spawn",
+        "crossbeam::scope",
+        "std::thread::scope",
+    ] {
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.rule == Rule::NetFence && f.excerpt.contains(spawn)),
+            "net-fence must fire on `{spawn}`; findings: {findings:#?}"
+        );
+    }
 }
 
 #[test]
