@@ -3,14 +3,16 @@
 //! Each component checks its own conservation invariants via
 //! [`simkit::audit::Audit`]; this module adds the cross-component checks
 //! only the driver can see — the master's per-node backlog view against
-//! the slaves' actual queues, binding uniqueness across slaves, and the
+//! the slaves' actual queues, binding uniqueness across slaves, the
 //! buffering records against the slaves and DataNodes that hold the
-//! bytes. Any violation panics with the full report, pinning the failure
-//! to the heartbeat where the invariant first broke.
+//! bytes, and the driver's live-job records against the job states. Any
+//! violation panics with the full report, pinning the failure to the
+//! heartbeat where the invariant first broke.
 
 use super::Simulation;
 use dyrs_cluster::NodeId;
-use dyrs_dfs::BlockId;
+use dyrs_dfs::{BlockId, JobId};
+use dyrs_engine::JobStatus;
 use simkit::audit::{Audit, AuditReport};
 use std::collections::BTreeMap;
 
@@ -39,6 +41,37 @@ impl Simulation {
                 "driver",
                 "buffered blocks are registered as memory replicas",
                 || format!("{block} buffered on {host} but missing from its DataNode"),
+            );
+        }
+
+        // Live-job records: one per submitted or running job, each holding
+        // the sorted durations of exactly the maps that job has finished.
+        let live: Vec<JobId> = self
+            .jobs
+            .iter()
+            .filter(|(_, j)| matches!(j.status, JobStatus::Submitted | JobStatus::Running))
+            .map(|(&id, _)| id)
+            .collect();
+        report.check(
+            self.live_jobs.keys().eq(&live),
+            "driver",
+            "live-job records are exactly the submitted and running jobs",
+            || {
+                let records: Vec<&JobId> = self.live_jobs.keys().collect();
+                format!("records for {records:?}, live jobs {live:?}")
+            },
+        );
+        for (id, rec) in &self.live_jobs {
+            let done = self
+                .jobs
+                .get(id)
+                .map_or(0, |j| j.maps_total - j.maps_remaining);
+            let secs = rec.map_secs();
+            report.check(
+                secs.len() == done && secs.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
+                "driver",
+                "a live job's peer baseline holds its finished maps, sorted",
+                || format!("{id}: {done} maps finished, map_secs {secs:?}"),
             );
         }
 

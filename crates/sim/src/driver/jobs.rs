@@ -17,6 +17,40 @@ fn node_of_task(sim: &Simulation, tid: TaskId) -> NodeId {
         .expect("running task is placed")
 }
 
+/// The driver's record of one live job.
+#[derive(Debug, Default)]
+pub(crate) struct LiveJob {
+    /// The job's tasks in creation (and so `TaskId`) order: its maps from
+    /// submission, then its reduces once the map stage ends.
+    pub(crate) tasks: Vec<TaskId>,
+    /// Completed map durations in seconds, ascending under
+    /// `f64::total_cmp`.
+    map_secs: Vec<f64>,
+}
+
+impl LiveJob {
+    /// The job's completed map durations, ascending.
+    #[cfg(feature = "verify-audit")]
+    pub(crate) fn map_secs(&self) -> &[f64] {
+        &self.map_secs
+    }
+
+    /// Record one completed map's duration at its sorted position.
+    pub(crate) fn record_map(&mut self, secs: f64) {
+        let at = self
+            .map_secs
+            .partition_point(|x| x.total_cmp(&secs).is_lt());
+        self.map_secs.insert(at, secs);
+    }
+
+    /// The speculation peer baseline: the median completed-map duration,
+    /// once at least four maps have finished to compare against.
+    pub(crate) fn peer_baseline(&self) -> Option<f64> {
+        let n = self.map_secs.len();
+        (n >= 4).then(|| self.map_secs[n / 2])
+    }
+}
+
 impl Simulation {
     /// A job's submission instant: create its state and tasks, fire the
     /// migration request (the paper inserts the migration call in the
@@ -32,7 +66,7 @@ impl Simulation {
         let file_names: Vec<&str> = spec.input_files.iter().map(|s| s.as_str()).collect();
         let blocks = self.namenode.namespace.blocks_of_files(file_names);
         let mut requests = Vec::with_capacity(blocks.len());
-        let mut task_ids = Vec::with_capacity(blocks.len());
+        let mut live = LiveJob::default();
         for &b in &blocks {
             let info = self.namenode.blocks.expect(b);
             let bytes = info.size;
@@ -41,15 +75,16 @@ impl Simulation {
             self.tasks.push(TaskState::map(tid, id, b, bytes, self.now));
             self.attempts.push(0);
             self.avoid_node.push(None);
-            task_ids.push(tid);
+            live.tasks.push(tid);
             requests.push(BlockRequest {
                 block: b,
                 bytes,
                 replicas,
             });
         }
-        state.set_map_count(task_ids.len());
+        state.set_map_count(live.tasks.len());
         self.jobs.insert(id, state);
+        self.live_jobs.insert(id, live);
         self.job_read_bytes.insert(id, (0, 0));
 
         // Migration request at submission — uses the whole lead-time.
@@ -100,12 +135,9 @@ impl Simulation {
         self.queue.schedule(launch_at, Ev::LaunchJob(id));
 
         // Empty job (no input): nothing will ever run; complete directly.
-        if task_ids.is_empty() && spec.reduce_tasks == 0 {
+        // Otherwise tasks become ready at LaunchJob.
+        if blocks.is_empty() && spec.reduce_tasks == 0 {
             self.complete_job(id);
-        } else {
-            // Defer making tasks ready until LaunchJob.
-            let job = self.jobs.get_mut(&id).expect("just inserted");
-            job.status = JobStatus::Submitted;
         }
     }
 
@@ -121,14 +153,15 @@ impl Simulation {
         }
         job.status = JobStatus::Running;
         job.launched_at = Some(self.now);
+        let live = self.live_jobs.get(&id).expect("a submitted job is live");
+        let tasks = live.tasks.iter().map(|t| &self.tasks[t.0 as usize]);
         // Lead-time utilization (§IV-B): how much of the job's input the
         // migration pipeline made memory-resident before the first task
         // could run. 1.0 means the lead-time fully hid the migration.
         if self.obs.is_enabled() {
-            let blocks: Vec<dyrs_dfs::BlockId> = self
-                .tasks
-                .iter()
-                .filter(|t| t.job == id && t.is_map())
+            let blocks: Vec<dyrs_dfs::BlockId> = tasks
+                .clone()
+                .filter(|t| t.is_map())
                 .filter_map(|t| t.block)
                 .collect();
             if !blocks.is_empty() {
@@ -144,10 +177,8 @@ impl Simulation {
                 );
             }
         }
-        let task_ids: std::collections::VecDeque<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|t| t.job == id && t.is_map() && t.phase == TaskPhase::Ready)
+        let task_ids: std::collections::VecDeque<TaskId> = tasks
+            .filter(|t| t.is_map() && t.phase == TaskPhase::Ready)
             .map(|t| t.id)
             .collect();
         self.ungranted.insert(id, task_ids);
@@ -247,10 +278,7 @@ impl Simulation {
     }
 
     pub(crate) fn job_alive(&self, id: JobId) -> bool {
-        self.jobs
-            .get(&id)
-            .map(|j| matches!(j.status, JobStatus::Submitted | JobStatus::Running))
-            .unwrap_or(false)
+        self.live_jobs.contains_key(&id)
     }
 
     pub(crate) fn node_alive(&self, n: NodeId) -> bool {
@@ -482,8 +510,13 @@ impl Simulation {
                 SlotKind::Reduce
             },
         );
+        let live = self.live_jobs.get_mut(&job_id).expect("alive");
         {
             let t = &self.tasks[tid.0 as usize];
+            let duration = t.duration().expect("done");
+            if is_map {
+                live.record_map(duration.as_secs_f64());
+            }
             self.done_tasks.push(TaskMetrics {
                 job: job_id,
                 is_map,
@@ -491,7 +524,7 @@ impl Simulation {
                 bytes: t.bytes,
                 read_medium: t.read_medium,
                 read_time: t.read_duration().unwrap_or(simkit::SimDuration::ZERO),
-                duration: t.duration().expect("done"),
+                duration,
             });
         }
         let job = self.jobs.get_mut(&job_id).expect("alive");
@@ -508,6 +541,7 @@ impl Simulation {
                         self.tasks.push(TaskState::reduce(rid, job_id, share, now));
                         self.attempts.push(0);
                         self.avoid_node.push(None);
+                        live.tasks.push(rid);
                         self.ready_reduces.push_back(rid);
                     }
                 }
@@ -527,10 +561,15 @@ impl Simulation {
         job.status = JobStatus::Completed;
         job.completed_at = Some(now);
         let (mem, total) = self.job_read_bytes.get(&id).copied().unwrap_or((0, 0));
-        let input_bytes: u64 = self
+        let live = self
+            .live_jobs
+            .remove(&id)
+            .expect("a completing job is live");
+        let input_bytes: u64 = live
             .tasks
             .iter()
-            .filter(|t| t.job == id && t.is_map())
+            .map(|t| &self.tasks[t.0 as usize])
+            .filter(|t| t.is_map())
             .map(|t| t.bytes)
             .sum();
         let job = self.jobs.get(&id).expect("just updated");
@@ -566,21 +605,22 @@ impl Simulation {
 
     /// A job failed (kill injection or unservable read).
     pub(crate) fn fail_job(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
+        let Some(live) = self.live_jobs.remove(&id) else {
+            return; // never submitted, or already completed or failed
         };
-        if matches!(job.status, JobStatus::Completed | JobStatus::Failed) {
-            return;
-        }
-        job.status = JobStatus::Failed;
+        self.jobs.get_mut(&id).expect("a live job has state").status = JobStatus::Failed;
         self.failed_jobs.push(id);
         self.jobs_remaining -= 1;
         // Cancel in-flight task reads and release slots of running tasks.
-        let running: Vec<TaskId> = self
+        let running: Vec<TaskId> = live
             .tasks
-            .iter()
-            .filter(|t| t.job == id && matches!(t.phase, TaskPhase::Reading | TaskPhase::Computing))
-            .map(|t| t.id)
+            .into_iter()
+            .filter(|t| {
+                matches!(
+                    self.tasks[t.0 as usize].phase,
+                    TaskPhase::Reading | TaskPhase::Computing
+                )
+            })
             .collect();
         for tid in running {
             if let Some((n, k, sid)) = self.task_streams.remove(&tid) {
@@ -620,60 +660,45 @@ impl Simulation {
         let factor = self.cfg.engine.speculative_factor;
         let slack = self.cfg.engine.speculative_slack;
         let cap = self.cfg.engine.disk_read_cap;
-        // Per-job median completed-map duration (the peer baseline).
-        let mut per_job: std::collections::BTreeMap<JobId, Vec<f64>> = Default::default();
-        for t in &self.done_tasks {
-            if t.is_map {
-                per_job
-                    .entry(t.job)
-                    .or_default()
-                    .push(t.duration.as_secs_f64());
-            }
-        }
-        let median = |xs: &mut Vec<f64>| -> f64 {
-            xs.sort_by(f64::total_cmp);
-            xs[xs.len() / 2]
-        };
-        let baselines: std::collections::BTreeMap<JobId, f64> = per_job
-            .into_iter()
-            .filter(|(_, xs)| xs.len() >= 4) // need peers to compare against
-            .map(|(j, mut xs)| (j, median(&mut xs)))
-            .collect();
-        let candidates: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|t| {
-                t.phase == TaskPhase::Reading
-                    && t.read_medium.map(|m| !m.is_memory()).unwrap_or(false)
-                    && self.attempts[t.id.0 as usize] + 1 < max_att
-            })
-            .filter(|t| {
+        let ignem = self.cfg.policy == dyrs::MigrationPolicy::Ignem;
+        let mut candidates: Vec<TaskId> = Vec::new();
+        for live in self.live_jobs.values() {
+            let baseline = live.peer_baseline();
+            for &tid in &live.tasks {
+                let t = &self.tasks[tid.0 as usize];
+                if t.phase != TaskPhase::Reading
+                    || t.read_medium.is_none_or(|m| m.is_memory())
+                    || self.attempts[tid.0 as usize] + 1 >= max_att
+                {
+                    continue;
+                }
                 let elapsed = now.saturating_since(t.started_at.expect("reading"));
                 // peer-relative when peers exist, absolute-pace fallback
-                let expected = baselines
-                    .get(&t.job)
-                    .copied()
-                    .unwrap_or_else(|| t.bytes as f64 / cap);
+                let expected = baseline.unwrap_or_else(|| t.bytes as f64 / cap);
                 let threshold =
                     simkit::SimDuration::from_secs_f64(expected).mul_f64(factor) + slack;
-                elapsed > threshold && self.job_alive(t.job)
-            })
-            .filter(|t| {
+                if elapsed <= threshold {
+                    continue;
+                }
                 // A speculative copy only helps if it could read from
                 // somewhere better. Under Ignem the read path pins the
                 // block to its submission-time binding, so until the block
                 // is actually in memory the copy would hit the very same
                 // disk — speculation cannot rescue Ignem's stragglers
                 // (consistent with the slowdowns the paper measured).
-                if self.cfg.policy != dyrs::MigrationPolicy::Ignem {
-                    return true;
+                if ignem {
+                    let block = t.block.expect("map task");
+                    if !self.namenode.has_memory_replica(block, now)
+                        && self.master.ignem_read_target(block).is_some()
+                    {
+                        continue;
+                    }
                 }
-                let block = t.block.expect("map task");
-                self.namenode.has_memory_replica(block, now)
-                    || self.master.ignem_read_target(block).is_none()
-            })
-            .map(|t| t.id)
-            .collect();
+                candidates.push(tid);
+            }
+        }
+        // Requeue order shapes the event stream: keep it by `TaskId`.
+        candidates.sort_unstable();
         for tid in candidates {
             self.speculate(tid);
         }
@@ -710,6 +735,38 @@ impl Simulation {
                     .unwrap_or(self.now)
                     .max(self.now);
                 self.queue.schedule(submit_at, Ev::SubmitJob(d));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LiveJob;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The incremental baseline equals sorting every duration so far
+        /// and taking `xs[len / 2]`, after each insert, with no baseline
+        /// below four samples. Durations come from a small pool, so
+        /// repeats are common.
+        #[test]
+        fn peer_baseline_matches_a_full_sort(
+            pool in proptest::collection::vec(0.0f64..120.0, 6),
+            picks in proptest::collection::vec(0usize..6, 0..48),
+        ) {
+            let mut live = LiveJob::default();
+            let mut seen = Vec::new();
+            for i in picks {
+                live.record_map(pool[i]);
+                seen.push(pool[i]);
+                let mut xs = seen.clone();
+                xs.sort_by(f64::total_cmp);
+                let want = (xs.len() >= 4).then(|| xs[xs.len() / 2]);
+                prop_assert_eq!(
+                    live.peer_baseline().map(f64::to_bits),
+                    want.map(f64::to_bits)
+                );
             }
         }
     }

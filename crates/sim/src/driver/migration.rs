@@ -21,16 +21,17 @@ pub(crate) const REPROBE_INTERVAL: simkit::SimDuration = simkit::SimDuration::fr
 impl Simulation {
     /// Heartbeat from `node`'s slave: refresh estimates, report to the
     /// master, pull new migrations, record figure series, and scavenge
-    /// under memory pressure.
+    /// under memory pressure. Node 0's heartbeat also paces the
+    /// cluster-wide speculation check, whether or not node 0 is up.
     pub(crate) fn on_heartbeat(&mut self, node: NodeId) {
         // Always re-arm first so heartbeats survive node failures.
         self.queue
             .schedule(self.now + self.hb_interval(), Ev::Heartbeat(node));
-        if !self.cluster.node(node).up {
-            return;
-        }
         if node.index() == 0 {
             self.check_speculation();
+        }
+        if !self.cluster.node(node).up {
+            return;
         }
         let now = self.now;
         let report = self.slaves[node.index()].on_heartbeat(now);
@@ -154,18 +155,8 @@ impl Simulation {
         // Memory-pressure scavenge (§III-C3): query the scheduler for live
         // jobs and drop references of dead ones.
         if self.slaves[node.index()].needs_scavenge() {
-            let alive: std::collections::HashSet<JobId> = self
-                .jobs
-                .iter()
-                .filter(|(_, j)| {
-                    matches!(
-                        j.status,
-                        dyrs_engine::JobStatus::Submitted | dyrs_engine::JobStatus::Running
-                    )
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            let evictions = self.slaves[node.index()].scavenge(|j| alive.contains(&j));
+            let live = &self.live_jobs;
+            let evictions = self.slaves[node.index()].scavenge(|j| live.contains_key(&j));
             self.apply_evictions(node, evictions);
         }
 

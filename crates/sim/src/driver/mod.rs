@@ -45,8 +45,12 @@ pub struct Simulation {
     pub(crate) master: Master,
     pub(crate) slaves: Vec<Slave>,
     pub(crate) slots: SlotPool,
-    /// Live job state, keyed by id (BTreeMap for deterministic iteration).
+    /// Every submitted job's state, keyed by id.
     pub(crate) jobs: BTreeMap<JobId, JobState>,
+    /// One record per live job (submitted, not yet completed or failed):
+    /// its task ids and sorted completed-map durations. Periodic and
+    /// per-job work reads these, never every task or job since t = 0.
+    pub(crate) live_jobs: BTreeMap<JobId, jobs::LiveJob>,
     /// Specs not yet submitted (waiting on their dependencies).
     pub(crate) pending_specs: HashMap<JobId, JobSpec>,
     /// Unresolved dependency count per waiting job.
@@ -145,8 +149,6 @@ pub struct Simulation {
     /// Seam between the state machines and the wire: direct calls under
     /// `WireMode::InProcess`, encode→loopback→decode under `Loopback`.
     pub(crate) wire: wirelink::WireLink,
-    #[allow(dead_code)]
-    pub(crate) rng: Rng,
 }
 
 impl Simulation {
@@ -237,6 +239,7 @@ impl Simulation {
             slaves,
             slots,
             jobs: BTreeMap::new(),
+            live_jobs: BTreeMap::new(),
             pending_specs: HashMap::new(),
             waiting_deps: HashMap::new(),
             dependents: HashMap::new(),
@@ -285,7 +288,6 @@ impl Simulation {
             read_holders: Vec::new(),
             obs,
             wire: wirelink::WireLink::new(cfg.wire, n),
-            rng: rng.derive(3),
             cfg,
         };
         sim.seed_events(workload);
