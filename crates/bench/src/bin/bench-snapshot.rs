@@ -140,14 +140,13 @@ fn loaded_master_1m(blocks: u64, nodes: u32) -> Master {
 /// Keeping 1M pending blocks' targets current across a 1k-node fleet
 /// with the production engine.
 ///
-/// One iteration is one heartbeat *window* — the unit the batched driver
-/// path actually processes: seven sparse ticks (32 spread-out nodes
-/// report estimate drift, everyone else is clean) and then one
-/// fleet-wide refresh tick (every node reports a moved estimate — the
-/// estimator-rebaseline / post-recovery-resync case). Each tick ends in
-/// one retarget pass. The window median is `algo1/planned_1m_1k`; the
-/// per-regime pass medians are also recorded so the JSON carries the
-/// decomposition:
+/// One iteration is one heartbeat *window*: seven sparse ticks (32
+/// spread-out nodes report estimate drift, everyone else is clean) and
+/// then one fleet-wide refresh tick (every node reports a moved
+/// estimate — the estimator-rebaseline / post-recovery-resync case).
+/// Each tick ends in one retarget pass. The window median is
+/// `algo1/planned_1m_1k`; the per-regime pass medians are also recorded
+/// so the JSON carries the decomposition:
 ///
 /// * sparse ticks — the plan walk: a sorted visit plan over the dirty
 ///   nodes' replica holders, streamed ahead of the scoring cursor;

@@ -268,6 +268,16 @@ struct BoundRecord {
     migration: Migration,
 }
 
+impl BoundRecord {
+    /// How long the binding may run before a sweep flags it stuck: the
+    /// bind-time estimate times `stuck_multiple`, floored by
+    /// `stuck_floor`.
+    fn stuck_deadline(&self, cfg: &FailureDetectorConfig) -> simkit::SimDuration {
+        simkit::SimDuration::from_secs_f64(self.est_secs_at_bind * cfg.stuck_multiple)
+            .max(cfg.stuck_floor)
+    }
+}
+
 /// What one [`Master::check_health`] pass found. The caller (the sim
 /// driver, or an RPC layer in a real deployment) owns the slave channel,
 /// so the master reports *candidates* and the caller confirms them against
@@ -446,6 +456,12 @@ pub struct Master {
     /// The detector's monotone view of simulated time, advanced by
     /// [`Master::on_heartbeat_at`] and [`Master::check_health`].
     clock: SimTime,
+    /// No sweep before this instant can change a verdict: it is no later
+    /// than any live heartbeat, quarantine or stuck deadline, and `ZERO`
+    /// while an up node's deadline is unarmed. [`Master::check_health`]
+    /// sets it after each full sweep; sites that add a deadline lower it,
+    /// and sites that reshape detector state reset it to `ZERO`.
+    health_due: SimTime,
 }
 
 impl Master {
@@ -479,6 +495,7 @@ impl Master {
             det: vec![DetectorState::default(); num_nodes],
             bound_records: BTreeMap::new(),
             clock: SimTime::ZERO,
+            health_due: SimTime::ZERO,
         }
     }
 
@@ -502,6 +519,7 @@ impl Master {
                 }
             }
         }
+        self.health_due = SimTime::ZERO;
         // Toggling the detector changes every node's candidacy rule.
         self.sync_all_nodes();
     }
@@ -757,13 +775,20 @@ impl Master {
         let s = &mut self.nodes[node.index()];
         s.spb = secs_per_byte;
         s.queued_bytes = queued_bytes as f64;
-        s.up = true;
-        if self.detector.is_some() {
+        let was_up = std::mem::replace(&mut s.up, true);
+        if let Some(cfg) = &self.detector {
             let d = &mut self.det[node.index()];
             d.last_heartbeat = Some(self.clock);
             if d.health == NodeHealth::Suspect {
                 d.health = NodeHealth::Healthy;
             }
+            // A suspect node's recovery re-arms its deadline; a node the
+            // heartbeat brings back up may carry any deadline.
+            self.health_due = if was_up {
+                self.health_due.min(self.clock + cfg.suspect_after)
+            } else {
+                SimTime::ZERO
+            };
         }
         self.sync_node(node);
     }
@@ -810,6 +835,7 @@ impl Master {
             // inheriting the pre-crash one.
             self.det[node.index()].last_heartbeat = None;
         }
+        self.health_due = SimTime::ZERO;
         self.sync_node(node);
     }
 
@@ -819,6 +845,11 @@ impl Master {
     /// progress deadline. The caller confirms the report against the
     /// slaves (which it owns) and feeds confirmed unbinds back through
     /// [`Master::on_unbound`] / [`Master::discard_bound`].
+    ///
+    /// Cheap enough to call on every heartbeat arrival: the sweep itself
+    /// runs only once `now` reaches the earliest deadline that could
+    /// change a verdict. Before that a sweep would find nothing, so the
+    /// call just advances the clock and returns an empty report.
     pub fn check_health(&mut self, now: SimTime) -> HealthReport {
         let mut report = HealthReport::default();
         let Some(cfg) = self.detector.clone() else {
@@ -826,6 +857,9 @@ impl Master {
         };
         self.clock = self.clock.max(now);
         let now = self.clock;
+        if now < self.health_due {
+            return report;
+        }
         for i in 0..self.nodes.len() {
             // Removed nodes are out of the cluster: no heartbeat deadline,
             // no verdicts, even if a stale peer keeps the socket open.
@@ -849,9 +883,10 @@ impl Master {
                         report.newly_suspect.push(node);
                         self.obs.counter_add("detector.suspects", 1);
                         self.strike(node, &cfg, now);
-                        if failed_probation {
-                            // A node that goes dark on probation has not
-                            // earned its way back.
+                        // A node that goes dark on probation has not
+                        // earned its way back (unless the strike itself
+                        // just quarantined it).
+                        if failed_probation && self.det[i].health != NodeHealth::Quarantined {
                             self.quarantine(node, &cfg, now);
                         }
                     }
@@ -863,16 +898,42 @@ impl Master {
             if !self.nodes[i].up {
                 continue;
             }
-            let deadline =
-                simkit::SimDuration::from_secs_f64(rec.est_secs_at_bind * cfg.stuck_multiple)
-                    .max(cfg.stuck_floor);
-            if now.saturating_since(rec.bound_at) > deadline {
+            if now.saturating_since(rec.bound_at) > rec.stuck_deadline(&cfg) {
                 report.stuck.push((rec.node, block));
             }
         }
+        self.health_due = self.next_health_due(&cfg);
         // Health transitions above change candidacy; push the new view.
         self.sync_all_nodes();
         report
+    }
+
+    /// The earliest instant a sweep could change a verdict: a heartbeat
+    /// deadline of an up node that can still be suspected, a quarantine
+    /// lift, or a bound migration's stuck deadline (`SimTime::MAX` when
+    /// none is live). `ZERO` while an up node's deadline is unarmed,
+    /// since the next sweep arms it.
+    fn next_health_due(&self, cfg: &FailureDetectorConfig) -> SimTime {
+        let mut due = SimTime::MAX;
+        for (s, d) in self.nodes.iter().zip(&self.det) {
+            if !s.up || d.removed {
+                continue;
+            }
+            match (d.health, d.last_heartbeat) {
+                (_, None) => return SimTime::ZERO,
+                (NodeHealth::Healthy | NodeHealth::Probation, Some(hb)) => {
+                    due = due.min(hb + cfg.suspect_after);
+                }
+                (NodeHealth::Quarantined, _) => due = due.min(d.quarantined_until),
+                _ => {}
+            }
+        }
+        for rec in self.bound_records.values() {
+            if self.nodes[rec.node.index()].up {
+                due = due.min(rec.bound_at + rec.stuck_deadline(cfg));
+            }
+        }
+        due
     }
 
     /// Count one strike against `node` inside the sliding window;
@@ -899,6 +960,7 @@ impl Master {
         d.quarantined_until = now + cfg.quarantine_backoff;
         d.probation_block = None;
         d.strikes.clear();
+        self.health_due = SimTime::ZERO;
         self.obs.counter_add("detector.quarantines", 1);
         // Crash flight recorder: a quarantine is exactly the moment an
         // operator wants the recent span history, dumped and named.
@@ -1128,17 +1190,18 @@ impl Master {
             }
             // Tracked regardless of the detector: drain needs to know what
             // is bound where even under the paper's exact protocol.
-            self.bound_records.insert(
-                entry.migration.block,
-                BoundRecord {
-                    node,
-                    bound_at: now,
-                    est_secs_at_bind: self.nodes[node.index()].spb * entry.migration.bytes as f64,
-                    hint: entry.hint,
-                    seq: entry.seq,
-                    migration: entry.migration.clone(),
-                },
-            );
+            let rec = BoundRecord {
+                node,
+                bound_at: now,
+                est_secs_at_bind: self.nodes[node.index()].spb * entry.migration.bytes as f64,
+                hint: entry.hint,
+                seq: entry.seq,
+                migration: entry.migration.clone(),
+            };
+            if let Some(cfg) = &self.detector {
+                self.health_due = self.health_due.min(now + rec.stuck_deadline(cfg));
+            }
+            self.bound_records.insert(entry.migration.block, rec);
             taken.push(entry.migration);
         }
         self.sync_node(node);
@@ -1175,6 +1238,7 @@ impl Master {
             d.health = NodeHealth::Healthy;
             d.probation_block = None;
             d.strikes.clear();
+            self.health_due = SimTime::ZERO;
             self.obs.counter_add("detector.probations_passed", 1);
         } else if d.health == NodeHealth::Joining {
             // Admission ramp: each completion widens the pull cap; after
@@ -1183,6 +1247,8 @@ impl Master {
             if d.join_completed >= ramp {
                 d.health = NodeHealth::Healthy;
                 d.join_completed = 0;
+                // A graduate's heartbeat deadline counts from here on.
+                self.health_due = SimTime::ZERO;
                 self.obs.counter_add("membership.joins_completed", 1);
             }
         }
@@ -1259,6 +1325,7 @@ impl Master {
         for d in &mut self.det {
             *d = DetectorState::default();
         }
+        self.health_due = SimTime::ZERO;
         // Nodes that were down stay down across a *master* restart; push
         // the post-reset load and candidacy view into the scheduler.
         self.sync_all_nodes();
@@ -1284,6 +1351,7 @@ impl Master {
             d.health = NodeHealth::Draining;
             d.probation_block = None;
             d.join_completed = 0;
+            self.health_due = SimTime::ZERO;
             self.obs.counter_add("membership.drains", 1);
         }
         self.sync_node(node);
@@ -1366,6 +1434,7 @@ impl Master {
         let d = &mut self.det[node.index()];
         *d = DetectorState::default();
         d.removed = true;
+        self.health_due = SimTime::ZERO;
         self.obs.counter_add("membership.decommissions", 1);
         self.sync_node(node);
         true
@@ -1388,6 +1457,7 @@ impl Master {
             health: NodeHealth::Joining,
             ..DetectorState::default() // last_heartbeat: None re-arms
         };
+        self.health_due = SimTime::ZERO;
         self.obs.counter_add("membership.joins", 1);
         self.sync_node(node);
     }
@@ -1559,6 +1629,7 @@ impl Master {
         self.next_id = self.next_id.max(cp.next_id);
         self.clock = self.clock.max(cp.clock);
         self.stats = cp.stats;
+        self.health_due = SimTime::ZERO;
         self.sync_all_nodes();
         Ok(())
     }
@@ -1577,7 +1648,9 @@ impl simkit::audit::Audit for Master {
     /// * per-node state from heartbeats is sane: cost estimates finite and
     ///   positive (§IV-A), queued-byte views finite and non-negative;
     /// * buffering records point at nodes that are up (§III-C2: a dead
-    ///   node's records are dropped with it).
+    ///   node's records are dropped with it);
+    /// * with the detector on, the sweep gate opens no later than any
+    ///   live deadline, so a skipped sweep never hides a verdict.
     fn audit(&self, report: &mut simkit::audit::AuditReport) {
         let c = "master";
         for e in self.sched.entries() {
@@ -1669,7 +1742,19 @@ impl simkit::audit::Audit for Master {
                 || format!("record for {block} holds {}", rec.migration.block),
             );
         }
-        if self.detector.is_some() {
+        if let Some(cfg) = &self.detector {
+            let due = self.next_health_due(cfg);
+            report.check(
+                self.health_due <= due,
+                c,
+                "the health sweep is due no later than any live deadline",
+                || {
+                    format!(
+                        "health_due {} but a deadline falls at {due}",
+                        self.health_due
+                    )
+                },
+            );
             for (i, d) in self.det.iter().enumerate() {
                 report.check(
                     d.probation_block.is_none() || d.health == NodeHealth::Probation,
@@ -2505,5 +2590,192 @@ mod tests {
         // no mass-suspect storm: deadlines re-arm at the first check
         let report = m.check_health(t(100));
         assert!(report.newly_suspect.is_empty());
+    }
+
+    #[test]
+    fn a_failed_probation_quarantines_once() {
+        let obs = ObsHandle::new();
+        let mut m = master(MigrationPolicy::Dyrs);
+        m.attach_obs(obs.clone());
+        m.configure_detector(FailureDetectorConfig {
+            quarantine_strikes: 1,
+            ..FailureDetectorConfig::default()
+        });
+        let spb = 1.0 / (140.0 * MB as f64);
+        for i in 0..4 {
+            m.on_heartbeat_at(n(i), spb, 0, t(0));
+        }
+        // Node 0 goes silent: suspected (and struck out) at 4 s, on
+        // probation at 14 s, where its lapsed deadline strikes it out
+        // again.
+        for s in 1..=14 {
+            for i in 1..4 {
+                m.on_heartbeat_at(n(i), spb, 0, t(s));
+            }
+            m.check_health(t(s));
+        }
+        assert_eq!(m.node_health(n(0)), NodeHealth::Quarantined);
+        if !obs.is_enabled() {
+            return;
+        }
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counter("detector.quarantines"),
+            2,
+            "one per strike-out"
+        );
+        assert_eq!(snap.counter("detector.probations"), 1);
+        assert_eq!(obs.auto_flight_dumps().len(), 2, "one dump per quarantine");
+    }
+
+    use proptest::prelude::*;
+
+    /// The bound records of `m` in block order, as (node, block).
+    fn bound_pairs(m: &Master) -> Vec<(NodeId, BlockId)> {
+        m.bound_records
+            .values()
+            .map(|r| (r.node, r.migration.block))
+            .collect()
+    }
+
+    /// Confirm a health report the way the simulator driver does: revoke
+    /// a suspect's bindings, and revoke or forget each stuck one.
+    fn apply_report(m: &mut Master, report: &HealthReport, x: u64) {
+        for &node in &report.newly_suspect {
+            for (n, block) in bound_pairs(m) {
+                if n == node {
+                    m.on_unbound(node, block, cause::NODE_SUSPECT);
+                }
+            }
+        }
+        for &(node, block) in &report.stuck {
+            if x % 2 == 0 {
+                m.on_unbound(node, block, cause::STUCK_STREAM);
+            } else {
+                m.discard_bound(block);
+            }
+        }
+    }
+
+    /// One operation of the gate-equivalence schedule; returns the
+    /// health report when the operation ran a health check.
+    fn step(m: &mut Master, op: u8, node: NodeId, x: u64, now: SimTime) -> Option<HealthReport> {
+        let spb = (1 + x % 3) as f64 / (140.0 * MB as f64);
+        let pick = |m: &Master| {
+            let bound = bound_pairs(m);
+            (!bound.is_empty()).then(|| bound[x as usize % bound.len()])
+        };
+        match op {
+            0..=6 => m.on_heartbeat_at(node, spb, (x % 2) * 256 * MB, now),
+            7 | 8 => {
+                let other = n((node.0 + 1 + (x % 3) as u32) % 4);
+                m.request_migration(
+                    j(x),
+                    vec![req(x, &[node.0, other.0])],
+                    EvictionMode::Implicit,
+                );
+                m.retarget();
+            }
+            9 | 10 => {
+                m.on_slave_pull(node, 1 + (x % 3) as usize);
+            }
+            // Complete one of `node`'s bindings if it has any (so joiners
+            // graduate and probations pass), else any binding.
+            11 => {
+                let own = bound_pairs(m).into_iter().find(|&(n, _)| n == node);
+                if let Some((n, block)) = own.or_else(|| pick(m)) {
+                    m.on_migration_complete(n, block);
+                }
+            }
+            12 => match pick(m) {
+                Some((n, block)) if x % 2 == 0 => m.on_unbound(n, block, cause::STUCK_STREAM),
+                Some((_, block)) => m.discard_bound(block),
+                None => {}
+            },
+            13 => m.set_node_up(node, x % 3 != 0),
+            14 => {
+                for block in m.drain_node(node) {
+                    if x % 2 == 0 {
+                        m.on_drain_unbound(node, block);
+                    }
+                }
+            }
+            15 if x % 2 == 0 => {
+                m.decommission(node);
+            }
+            15 => m.join_node(node),
+            16 if x % 5 == 0 => m.restart(),
+            16 if x % 5 == 1 => {
+                let cp = m.checkpoint();
+                m.restore_from(&cp).expect("same-shape restore");
+            }
+            _ => {
+                let report = m.check_health(now);
+                apply_report(m, &report, x);
+                return Some(report);
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The deadline gate never changes a verdict: a master that skips
+        /// sweeps until `health_due` and one forced to sweep on every
+        /// call report, classify and checkpoint identically through
+        /// random heartbeat gaps, binds, completions, unbinds, flaps,
+        /// membership churn, restarts and checkpoint reloads. The gated
+        /// master's audit (which checks the gate's invariant) stays
+        /// clean throughout.
+        #[test]
+        fn gated_sweeps_match_full_sweeps(
+            knobs in (2u64..8, 200u64..20_000, 1u32..4, 1u64..12, 1u32..4),
+            ops in proptest::collection::vec((0u8..20, 0u32..4, 0u64..1000, 0u64..1 << 16), 1..200),
+        ) {
+            let (suspect_s, floor_ms, strikes, backoff_s, ramp) = knobs;
+            let cfg = FailureDetectorConfig {
+                suspect_after: simkit::SimDuration::from_secs(suspect_s),
+                stuck_multiple: 1.0,
+                stuck_floor: simkit::SimDuration::from_millis(floor_ms),
+                quarantine_strikes: strikes,
+                quarantine_backoff: simkit::SimDuration::from_secs(backoff_s),
+                join_ramp_target: ramp,
+                ..FailureDetectorConfig::default()
+            };
+            let (obs_gated, obs_full) = (ObsHandle::new(), ObsHandle::new());
+            let mut gated = master(MigrationPolicy::Dyrs);
+            let mut full = master(MigrationPolicy::Dyrs);
+            for (m, obs) in [(&mut gated, &obs_gated), (&mut full, &obs_full)] {
+                m.attach_obs(obs.clone());
+                m.configure_detector(cfg.clone());
+            }
+            let mut now = SimTime::ZERO;
+            for (k, &(op, node, dt_ms, x)) in ops.iter().enumerate() {
+                now += simkit::SimDuration::from_millis(dt_ms);
+                let node = n(node);
+                let a = step(&mut gated, op, node, x, now);
+                full.health_due = SimTime::ZERO;
+                let b = step(&mut full, op, node, x, now);
+                prop_assert_eq!(&a, &b, "op {} ({}) at {}: health reports", k, op, now);
+                for i in 0..4 {
+                    let (dg, df) = (&gated.det[i], &full.det[i]);
+                    prop_assert_eq!(
+                        (dg.health, dg.last_heartbeat, gated.membership(n(i as u32))),
+                        (df.health, df.last_heartbeat, full.membership(n(i as u32))),
+                        "op {} ({}) at {}: node {}", k, op, now, i
+                    );
+                }
+                prop_assert_eq!(gated.checkpoint(), full.checkpoint(), "op {} ({}): checkpoint", k, op);
+                prop_assert_eq!(
+                    obs_gated.snapshot().counters,
+                    obs_full.snapshot().counters,
+                    "op {} ({}): counters", k, op
+                );
+                let mut audit = simkit::audit::AuditReport::new();
+                simkit::audit::Audit::audit(&gated, &mut audit);
+                prop_assert!(audit.is_clean(), "op {} ({}): {:?}", k, op, audit.violations());
+            }
+        }
     }
 }

@@ -16,20 +16,20 @@
 //!   with hard caps, for byte streams and for datagram-style buffers.
 //! * [`transport::Transport`] — how an endpoint sends/receives framed
 //!   messages, with two implementations:
-//!   [`loopback::LoopbackHub`] (deterministic in-memory channels the
-//!   simulator can drive) and [`tcp`] (real `std::net` sockets,
+//!   [`loopback::LoopbackHub`] (deterministic in-memory channels for
+//!   tests and benches) and [`tcp`] (real `std::net` sockets,
 //!   thread-per-connection, handshake with version negotiation,
 //!   timeouts and bounded outbound queues).
 //! * [`node`] — the `dyrs-node` daemon loops: the *same*
 //!   [`Master`](dyrs::Master)/[`Slave`](dyrs::Slave) state machines the
 //!   simulator uses, driven off a transport on a virtual tick clock.
 //!
-//! Both transports move encoded frames end to end — a message always
-//! pays encode → frame → decode, so the loopback path exercises the
-//! exact bytes TCP puts on the wire. That is what makes the
-//! in-process ↔ loopback trace-digest equivalence test
-//! (`tests/transport.rs` at the workspace root) a statement about the
-//! codec, not just about the state machines.
+//! Both transports, and the simulator's loopback wire mode, move encoded
+//! frames end to end — a message always pays encode → frame → decode,
+//! so the loopback path exercises the exact bytes TCP puts on the wire.
+//! That is what makes the in-process ↔ loopback trace-digest equivalence
+//! test (`tests/transport.rs` at the workspace root) a statement about
+//! the codec, not just about the state machines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,9 @@
 //! bytes TCP would put on the wire) and pushes `(from, frame)` onto the
 //! destination's channel; `recv` pops and decodes. Delivery is therefore
 //! exactly send order per receiver, with no threads, no timers and no
-//! wall clock anywhere — `dyrs-sim` drives it from its virtual clock, so
-//! two same-seed runs see byte- and order-identical traffic.
+//! wall clock anywhere, so two same-seed runs see byte- and
+//! order-identical traffic. (The simulator's loopback wire mode needs no
+//! channel: it encodes and decodes each frame in place.)
 //!
 //! The hub also keeps global sent/delivered counters: a scenario can
 //! assert `sent == delivered` at the end, the loopback form of the TCP

@@ -88,6 +88,11 @@ struct FlightNote {
 struct Inner {
     now: SimTime,
     report: ObsReport,
+    /// Live gauge series by name, then key: a sample costs a few string
+    /// compares over the handful of gauge names plus an integer lookup,
+    /// however many nodes or jobs key them. `take_report` flattens it
+    /// into `ObsReport::gauges`, which has the same (name, key) order.
+    gauges: BTreeMap<&'static str, BTreeMap<u64, TimeSeries>>,
     spans: SpanTable,
     /// `span.*` counts since the last `take_report`, by state; folded into
     /// the counters by `take_report` and `snapshot`.
@@ -408,9 +413,10 @@ impl ObsHandle {
             let mut inner = inner.borrow_mut();
             let at = inner.now;
             inner
-                .report
                 .gauges
-                .entry((name, key))
+                .entry(name)
+                .or_default()
+                .entry(key)
                 .or_insert_with(TimeSeries::new)
                 .record(at, value);
         }
@@ -451,6 +457,12 @@ impl ObsHandle {
                 let inner = &mut *inner.borrow_mut();
                 let mut report = std::mem::take(&mut inner.report);
                 inner.report.enabled = true;
+                report.gauges = std::mem::take(&mut inner.gauges)
+                    .into_iter()
+                    .flat_map(|(name, series)| {
+                        series.into_iter().map(move |(key, ts)| ((name, key), ts))
+                    })
+                    .collect();
                 fold_span_counts(&mut report.counters, &inner.span_counts);
                 inner.span_counts = Default::default();
                 report
@@ -476,15 +488,16 @@ impl ObsHandle {
             .map(|(name, v)| (name.to_owned(), v))
             .collect();
         let gauges = inner
-            .report
             .gauges
             .iter()
-            .filter_map(|((name, key), series)| {
-                series.points().last().map(|&(at, value)| GaugeSample {
-                    name: (*name).to_owned(),
-                    key: *key,
-                    value,
-                    at,
+            .flat_map(|(name, series)| {
+                series.iter().filter_map(move |(&key, ts)| {
+                    ts.points().last().map(|&(at, value)| GaugeSample {
+                        name: (*name).to_owned(),
+                        key,
+                        value,
+                        at,
+                    })
                 })
             })
             .collect();

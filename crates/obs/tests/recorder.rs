@@ -8,8 +8,10 @@
 //! provenance, every event must carry the block and size its migration
 //! was requested with, and `close_dangling` must abort
 //! exactly the spans whose last event is non-terminal, in ascending id
-//! order. (Compiled only with the `enabled` feature, which the workspace
-//! build turns on through `dyrs-sim`.)
+//! order. A second property interleaves gauge samples across names and
+//! keys: both the scrape view and the report keep (name, key) order.
+//! (Compiled only with the `enabled` feature, which the workspace build
+//! turns on through `dyrs-sim`.)
 
 #![cfg(feature = "enabled")]
 
@@ -270,5 +272,83 @@ proptest! {
             .iter()
             .all(|e| e.state == SpanState::Aborted && e.cause == cause::RUN_END && e.node.is_none()));
         prop_assert_eq!(h.snapshot().open_total(), 0);
+    }
+}
+
+/// Gauge names the driver records, plus `node.health_x`, which `node.health`
+/// prefixes, so name order must be string order, not length order.
+const GAUGES: [&str; 6] = [
+    "tier.utilization",
+    "node.health",
+    "sched.pending_depth",
+    "tier.occupancy_bytes",
+    "node.health_x",
+    "job.lead_time_ready_fraction",
+];
+
+/// One gauge series' samples, oldest first.
+type Points = Vec<(SimTime, f64)>;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Interleaved samples over several names and keys: the scrape view
+    /// holds each series' last sample and the report each full series,
+    /// both in (name, key) order, exactly as a flat map would.
+    #[test]
+    fn gauges_keep_name_then_key_order(
+        ops in proptest::collection::vec(
+            (0usize..GAUGES.len(), 0u64..300, 0u64..4, 0u64..1 << 40, 0u8..6),
+            1..200,
+        ),
+    ) {
+        let h = ObsHandle::new();
+        let mut model: BTreeMap<(&str, u64), Points> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        for &(sel, node, tier, x, kind) in &ops {
+            let name = GAUGES[sel];
+            let key = if name.starts_with("tier.") {
+                (node << 8) | tier
+            } else if kind % 2 == 0 {
+                node
+            } else {
+                x
+            };
+            let value = (x % 1000) as f64 / 8.0;
+            h.gauge(name, key, value);
+            model.entry((name, key)).or_default().push((now, value));
+            match kind {
+                0 => {
+                    now += SimDuration::from_millis(x % 2000);
+                    h.set_now(now);
+                }
+                1 => {
+                    let want: Vec<(String, u64, f64, SimTime)> = model
+                        .iter()
+                        .map(|(&(name, key), pts)| {
+                            let &(at, value) = pts.last().expect("every series has a sample");
+                            (name.to_owned(), key, value, at)
+                        })
+                        .collect();
+                    let got: Vec<(String, u64, f64, SimTime)> = h
+                        .snapshot()
+                        .gauges
+                        .into_iter()
+                        .map(|g| (g.name, g.key, g.value, g.at))
+                        .collect();
+                    prop_assert_eq!(got, want);
+                }
+                _ => {}
+            }
+        }
+        let report = h.take_report();
+        let got: Vec<((&str, u64), Points)> = report
+            .gauges
+            .iter()
+            .map(|(&k, ts)| (k, ts.points().to_vec()))
+            .collect();
+        let want: Vec<((&str, u64), Points)> = model.into_iter().collect();
+        prop_assert_eq!(got, want);
+        prop_assert!(h.snapshot().gauges.is_empty(), "take_report empties the store");
     }
 }

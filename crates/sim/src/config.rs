@@ -255,15 +255,6 @@ pub struct SimConfig {
     /// series, or the wire-frame accounting (tests/determinism.rs pins
     /// this). `None` disables scraping.
     pub scrape_interval: Option<simkit::SimDuration>,
-    /// Batch failure-detector processing instead of running a full
-    /// detector sweep on every heartbeat arrival. With `n` nodes the
-    /// per-heartbeat sweep costs O(n) per arrival — O(n²) per heartbeat
-    /// round — which dominates large-cluster runs; batched mode defers
-    /// the sweep to the periodic retarget pass, processing all arrivals
-    /// since the last pass in one O(n) scan. Off by default: the event
-    /// stream (and thus every replay digest) is unchanged unless a run
-    /// opts in.
-    pub batch_heartbeats: bool,
 }
 
 impl SimConfig {
@@ -288,7 +279,6 @@ impl SimConfig {
             re_replication_delay: simkit::SimDuration::from_secs(30),
             wire: WireMode::default(),
             scrape_interval: None,
-            batch_heartbeats: false,
         }
     }
 }

@@ -147,7 +147,7 @@ impl Simulation {
             if !queued.contains(&block) {
                 continue; // in-flight stream: completes naturally
             }
-            let block = self.wire.revoke(node, block);
+            let block = self.wire.revoke(block);
             self.slaves[node.index()].revoke(block);
             self.master.on_drain_unbound(node, block);
         }

@@ -110,7 +110,7 @@ impl Simulation {
             dyrs::master::RequestOutcome::default()
         };
         for (node, block, jref) in outcome.add_refs {
-            let (block, jref) = self.wire.add_ref(node, block, jref);
+            let (block, jref) = self.wire.add_ref(block, jref);
             self.slaves[node.index()].add_ref(block, jref);
         }
         if !outcome.immediate.is_empty() {
@@ -122,7 +122,7 @@ impl Simulation {
             for (i, migs) in by_node.into_iter().enumerate() {
                 if !migs.is_empty() {
                     let node = NodeId(i as u32);
-                    let migs = self.wire.bind(node, migs);
+                    let migs = self.wire.bind(migs);
                     self.slaves[i].on_bind(migs);
                     self.try_start_migrations(node);
                 }
@@ -451,7 +451,7 @@ impl Simulation {
         // -pending migration (missed read); the serving slave and any slave
         // holding the bound migration see the read for implicit eviction /
         // queued-cancellation.
-        let (block, job_id) = self.wire.read_notify_to_master(block, job_id);
+        let (block, job_id) = self.wire.read_notify(block, job_id);
         self.master.on_block_read(block);
         self.notify_read(block, job_id, served_by);
 
@@ -596,7 +596,7 @@ impl Simulation {
         let evict_id = self.wire.evict_job_request(id);
         let nodes = self.master.evict_job(evict_id);
         for node in nodes {
-            let job = self.wire.evict_job(node, evict_id);
+            let job = self.wire.evict_job(evict_id);
             let evictions = self.slaves[node.index()].evict_job(job);
             self.apply_evictions(node, evictions);
         }

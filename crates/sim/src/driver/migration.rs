@@ -49,10 +49,9 @@ impl Simulation {
 
             // Failure-detector pass: this heartbeat's arrival is also the
             // master's chance to notice *other* nodes going quiet or
-            // sitting on stuck migrations. Batched mode defers the sweep
-            // to the retarget tick — at 1k nodes the per-arrival sweep is
-            // an O(n²)-per-round hot spot.
-            if self.master.detector_enabled() && !self.cfg.batch_heartbeats {
+            // sitting on stuck migrations. The master skips the sweep
+            // until a deadline can be due, so this costs O(1) amortized.
+            if self.master.detector_enabled() {
                 let health = self.master.check_health(now);
                 self.apply_health_report(health);
             }
@@ -61,7 +60,7 @@ impl Simulation {
             // busy until the next heartbeat (§III-A1).
             let pulled = self.master.on_slave_pull(node, report.queue_space);
             if !pulled.is_empty() {
-                let pulled = self.wire.bind(node, pulled);
+                let pulled = self.wire.bind(pulled);
                 self.slaves[node.index()].on_bind(pulled);
                 self.try_start_migrations(node);
             }
@@ -177,7 +176,7 @@ impl Simulation {
             // stuck detector — they may well complete.
             let queued: Vec<BlockId> = self.slaves[node.index()].queued_blocks().collect();
             for block in queued {
-                let block = self.wire.revoke(node, block);
+                let block = self.wire.revoke(block);
                 self.slaves[node.index()].revoke(block);
                 self.master
                     .on_unbound(node, block, dyrs::obs::cause::NODE_SUSPECT);
@@ -187,7 +186,7 @@ impl Simulation {
             // Confirm against the slave before punishing: the completion
             // may simply not have reached the master yet.
             if self.slaves[node.index()].has_pending(block) {
-                let block = self.wire.revoke(node, block);
+                let block = self.wire.revoke(block);
                 if let dyrs::slave::Revoked::Active = self.slaves[node.index()].revoke(block) {
                     if let Some(sid) = self.active_migration_stream[node.index()].remove(&block) {
                         self.cancel_stream(node, ResourceKind::Disk, sid);
@@ -232,14 +231,6 @@ impl Simulation {
 
     /// Periodic Algorithm 1 pass.
     pub(crate) fn on_retarget(&mut self) {
-        // Batched heartbeat mode: the arrivals since the last pass were
-        // recorded without detector sweeps; run the deferred sweep once
-        // here, before retargeting, so Algorithm 1 still sees the same
-        // liveness view a per-arrival sweep would have converged to.
-        if self.cfg.batch_heartbeats && self.master.detector_enabled() {
-            let health = self.master.check_health(self.now);
-            self.apply_health_report(health);
-        }
         let stats = self.master.retarget();
         // Scheduler health gauges (series key 0): how much of the pass
         // was rescored, and the depth it was working against.
@@ -315,7 +306,7 @@ impl Simulation {
         // directly on its own data path, so that one never hits the wire.
         let notify = |sim: &mut Simulation, n: NodeId, forwarded: bool| {
             let (block, job) = if forwarded {
-                sim.wire.read_notify_to_slave(n, block, job)
+                sim.wire.read_notify(block, job)
             } else {
                 (block, job)
             };

@@ -287,7 +287,7 @@ impl Simulation {
             last_estimate_signal: vec![SimTime::ZERO; n],
             read_holders: Vec::new(),
             obs,
-            wire: wirelink::WireLink::new(cfg.wire, n),
+            wire: wirelink::WireLink::new(cfg.wire),
             cfg,
         };
         sim.seed_events(workload);
@@ -457,7 +457,7 @@ impl Simulation {
     /// the full wire roundtrip a `dyrs-node stat` client would: encode →
     /// frame → decode for both the request and the reply.
     ///
-    /// Deliberately bypasses [`WireLink`](wirelink::WireLink): the hub's
+    /// Deliberately bypasses [`WireLink`](wirelink::WireLink): the link's
     /// frame/byte counters are exported into the obs report, and a scrape
     /// must leave every exported artifact byte-identical.
     fn scrape(&mut self) {

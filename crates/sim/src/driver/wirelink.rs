@@ -3,10 +3,13 @@
 //! Under [`WireMode::InProcess`] every protocol interaction is the
 //! direct method call it always was — zero overhead, the historical
 //! fast path. Under [`WireMode::Loopback`] the *same* interaction is
-//! first packed into a [`Message`], encoded to wire bytes, routed
-//! through `dyrs-net`'s deterministic loopback transport, decoded on
-//! the far side, and only then applied to the state machine — exactly
-//! the bytes the TCP daemons put on a socket.
+//! first packed into a [`Message`], encoded into a complete frame (the
+//! bytes the TCP daemons put on a socket), counted, decoded in place,
+//! and only then applied to the state machine. The driver is
+//! single-threaded and every frame is received the instant it is sent,
+//! so nothing sits between encode and decode: no channel, no peer
+//! routing. (`dyrs-net`'s `LoopbackHub` serves the net tests and the
+//! benches.)
 //!
 //! Because the event loop, the virtual clock and the state machines are
 //! untouched, a scenario must produce an **identical trace digest** in
@@ -20,44 +23,31 @@ use dyrs::types::{EvictionMode, JobRef, Migration};
 use dyrs::{HeartbeatReport, JobHint};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
-use dyrs_net::loopback::{LoopbackEndpoint, LoopbackHub};
-use dyrs_net::proto::Message;
-use dyrs_net::transport::{Peer, Transport};
+use dyrs_net::frame;
+use dyrs_net::proto::{Message, PROTOCOL_VERSION};
 use simkit::SimTime;
 
 /// Routes protocol interactions either directly or through the codec.
 pub(crate) enum WireLink {
     /// Direct calls; messages are never materialized.
     InProcess,
-    /// Encode → loopback channel → decode for every interaction.
+    /// Encode → frame → decode for every interaction.
     Loopback {
-        hub: LoopbackHub,
-        master: LoopbackEndpoint,
-        slaves: Vec<LoopbackEndpoint>,
-        /// Stand-in for the job-submitter client (migration requests,
-        /// read notifications, job-finished evictions).
-        client: LoopbackEndpoint,
+        /// Frames moved through the codec.
+        frames: u64,
+        /// Encoded bytes moved, headers included.
+        bytes: u64,
     },
 }
 
 impl WireLink {
-    pub(crate) fn new(mode: WireMode, nodes: usize) -> Self {
+    pub(crate) fn new(mode: WireMode) -> Self {
         match mode {
             WireMode::InProcess => WireLink::InProcess,
-            WireMode::Loopback => {
-                let hub = LoopbackHub::new();
-                let master = hub.endpoint(Peer::Master);
-                let slaves = (0..nodes as u32)
-                    .map(|n| hub.endpoint(Peer::Slave(n)))
-                    .collect();
-                let client = hub.endpoint(Peer::Client(0));
-                WireLink::Loopback {
-                    hub,
-                    master,
-                    slaves,
-                    client,
-                }
-            }
+            WireMode::Loopback => WireLink::Loopback {
+                frames: 0,
+                bytes: 0,
+            },
         }
     }
 
@@ -65,7 +55,7 @@ impl WireLink {
     pub(crate) fn frames(&self) -> u64 {
         match self {
             WireLink::InProcess => 0,
-            WireLink::Loopback { hub, .. } => hub.frames_delivered(),
+            WireLink::Loopback { frames, .. } => *frames,
         }
     }
 
@@ -73,45 +63,27 @@ impl WireLink {
     pub(crate) fn bytes(&self) -> u64 {
         match self {
             WireLink::InProcess => 0,
-            WireLink::Loopback { hub, .. } => hub.bytes_moved(),
+            WireLink::Loopback { bytes, .. } => *bytes,
         }
     }
 
-    /// Push `msg` from `from`'s endpoint to `to`, then pop and decode it
-    /// at the destination. The driver is single-threaded and every send
-    /// is immediately received, so the destination inbox holds exactly
-    /// this one frame.
-    fn route(&self, from: Peer, to: Peer, msg: Message) -> Message {
-        let (src, dst) = match self {
-            WireLink::InProcess => unreachable!("route is only called in Loopback mode"),
-            WireLink::Loopback {
-                master,
-                slaves,
-                client,
-                ..
-            } => {
-                let pick = |p: Peer| -> &LoopbackEndpoint {
-                    match p {
-                        Peer::Master => master,
-                        Peer::Slave(n) => &slaves[n as usize],
-                        Peer::Client(_) => client,
-                    }
-                };
-                (pick(from), pick(to))
-            }
+    /// Encode `msg` as one frame, count it, and decode it back: the
+    /// message the far side would receive.
+    fn route(&mut self, msg: Message) -> Message {
+        let WireLink::Loopback { frames, bytes } = self else {
+            unreachable!("route is only called in Loopback mode")
         };
-        src.send(to, &msg).expect("loopback peer is registered");
-        let (got_from, decoded) = dst
-            .try_recv()
-            .expect("loopback frame decodes")
-            .expect("frame was just sent");
-        debug_assert_eq!(got_from, from);
+        let wire = frame::encode_frame(PROTOCOL_VERSION, &msg);
+        *frames += 1;
+        *bytes += wire.len() as u64;
+        let (_, decoded) = frame::decode_frame(&wire, frame::supported_versions())
+            .expect("loopback frame decodes");
         decoded
     }
 
     /// Slave → master heartbeat.
     pub(crate) fn heartbeat(
-        &self,
+        &mut self,
         node: NodeId,
         report: HeartbeatReport,
         at: SimTime,
@@ -119,11 +91,7 @@ impl WireLink {
         match self {
             WireLink::InProcess => report,
             link => {
-                let msg = link.route(
-                    Peer::Slave(node.0),
-                    Peer::Master,
-                    Message::Heartbeat { node, report, at },
-                );
+                let msg = link.route(Message::Heartbeat { node, report, at });
                 let Message::Heartbeat { report, .. } = msg else {
                     unreachable!("heartbeat decodes as heartbeat")
                 };
@@ -134,15 +102,11 @@ impl WireLink {
 
     /// Master → slave binding (delayed-binding pull response, or Ignem's
     /// immediate submission-time binding).
-    pub(crate) fn bind(&self, node: NodeId, migrations: Vec<Migration>) -> Vec<Migration> {
+    pub(crate) fn bind(&mut self, migrations: Vec<Migration>) -> Vec<Migration> {
         match self {
             WireLink::InProcess => migrations,
             link => {
-                let msg = link.route(
-                    Peer::Master,
-                    Peer::Slave(node.0),
-                    Message::Bind { migrations },
-                );
+                let msg = link.route(Message::Bind { migrations });
                 let Message::Bind { migrations } = msg else {
                     unreachable!("bind decodes as bind")
                 };
@@ -152,11 +116,11 @@ impl WireLink {
     }
 
     /// Master → slave revocation of a bound migration.
-    pub(crate) fn revoke(&self, node: NodeId, block: BlockId) -> BlockId {
+    pub(crate) fn revoke(&mut self, block: BlockId) -> BlockId {
         match self {
             WireLink::InProcess => block,
             link => {
-                let msg = link.route(Peer::Master, Peer::Slave(node.0), Message::Revoke { block });
+                let msg = link.route(Message::Revoke { block });
                 let Message::Revoke { block } = msg else {
                     unreachable!("revoke decodes as revoke")
                 };
@@ -166,15 +130,11 @@ impl WireLink {
     }
 
     /// Slave → master migration-complete report.
-    pub(crate) fn migration_complete(&self, node: NodeId, block: BlockId) -> (NodeId, BlockId) {
+    pub(crate) fn migration_complete(&mut self, node: NodeId, block: BlockId) -> (NodeId, BlockId) {
         match self {
             WireLink::InProcess => (node, block),
             link => {
-                let msg = link.route(
-                    Peer::Slave(node.0),
-                    Peer::Master,
-                    Message::MigrationComplete { node, block },
-                );
+                let msg = link.route(Message::MigrationComplete { node, block });
                 let Message::MigrationComplete { node, block } = msg else {
                     unreachable!("completion decodes as completion")
                 };
@@ -184,15 +144,11 @@ impl WireLink {
     }
 
     /// Slave → master eviction report.
-    pub(crate) fn evicted(&self, node: NodeId, block: BlockId) -> BlockId {
+    pub(crate) fn evicted(&mut self, node: NodeId, block: BlockId) -> BlockId {
         match self {
             WireLink::InProcess => block,
             link => {
-                let msg = link.route(
-                    Peer::Slave(node.0),
-                    Peer::Master,
-                    Message::Evicted { node, block },
-                );
+                let msg = link.route(Message::Evicted { node, block });
                 let Message::Evicted { block, .. } = msg else {
                     unreachable!("eviction decodes as eviction")
                 };
@@ -201,41 +157,14 @@ impl WireLink {
         }
     }
 
-    /// Client → master read notification (drives missed-read migration
-    /// cancellation on the master).
-    pub(crate) fn read_notify_to_master(&self, block: BlockId, job: JobId) -> (BlockId, JobId) {
+    /// Read notification: client → master (drives missed-read migration
+    /// cancellation) or master → slave (drives implicit eviction and
+    /// queued-migration cancellation on the slave).
+    pub(crate) fn read_notify(&mut self, block: BlockId, job: JobId) -> (BlockId, JobId) {
         match self {
             WireLink::InProcess => (block, job),
             link => {
-                let msg = link.route(
-                    Peer::Client(0),
-                    Peer::Master,
-                    Message::ReadNotify { block, job },
-                );
-                let Message::ReadNotify { block, job } = msg else {
-                    unreachable!("read notify decodes as read notify")
-                };
-                (block, job)
-            }
-        }
-    }
-
-    /// Master → slave forwarded read notification (drives implicit
-    /// eviction and queued-migration cancellation on the slave).
-    pub(crate) fn read_notify_to_slave(
-        &self,
-        node: NodeId,
-        block: BlockId,
-        job: JobId,
-    ) -> (BlockId, JobId) {
-        match self {
-            WireLink::InProcess => (block, job),
-            link => {
-                let msg = link.route(
-                    Peer::Master,
-                    Peer::Slave(node.0),
-                    Message::ReadNotify { block, job },
-                );
+                let msg = link.route(Message::ReadNotify { block, job });
                 let Message::ReadNotify { block, job } = msg else {
                     unreachable!("read notify decodes as read notify")
                 };
@@ -247,7 +176,7 @@ impl WireLink {
     /// Client → master migration request at job submission.
     #[allow(clippy::type_complexity)]
     pub(crate) fn request_migration(
-        &self,
+        &mut self,
         job: JobId,
         blocks: Vec<BlockRequest>,
         eviction: EvictionMode,
@@ -256,16 +185,12 @@ impl WireLink {
         match self {
             WireLink::InProcess => (job, blocks, eviction, hint),
             link => {
-                let msg = link.route(
-                    Peer::Client(0),
-                    Peer::Master,
-                    Message::RequestMigration {
-                        job,
-                        blocks,
-                        eviction,
-                        hint,
-                    },
-                );
+                let msg = link.route(Message::RequestMigration {
+                    job,
+                    blocks,
+                    eviction,
+                    hint,
+                });
                 let Message::RequestMigration {
                     job,
                     blocks,
@@ -281,15 +206,11 @@ impl WireLink {
     }
 
     /// Master → slave reference registration (implicit-eviction lists).
-    pub(crate) fn add_ref(&self, node: NodeId, block: BlockId, job: JobRef) -> (BlockId, JobRef) {
+    pub(crate) fn add_ref(&mut self, block: BlockId, job: JobRef) -> (BlockId, JobRef) {
         match self {
             WireLink::InProcess => (block, job),
             link => {
-                let msg = link.route(
-                    Peer::Master,
-                    Peer::Slave(node.0),
-                    Message::AddRef { block, job },
-                );
+                let msg = link.route(Message::AddRef { block, job });
                 let Message::AddRef { block, job } = msg else {
                     unreachable!("add-ref decodes as add-ref")
                 };
@@ -299,15 +220,11 @@ impl WireLink {
     }
 
     /// Client → master explicit eviction when a job finishes.
-    pub(crate) fn evict_job_request(&self, job: JobId) -> JobId {
+    pub(crate) fn evict_job_request(&mut self, job: JobId) -> JobId {
         match self {
             WireLink::InProcess => job,
             link => {
-                let msg = link.route(
-                    Peer::Client(0),
-                    Peer::Master,
-                    Message::EvictJobRequest { job },
-                );
+                let msg = link.route(Message::EvictJobRequest { job });
                 let Message::EvictJobRequest { job } = msg else {
                     unreachable!("evict request decodes as evict request")
                 };
@@ -317,11 +234,11 @@ impl WireLink {
     }
 
     /// Master → slave job-eviction fan-out.
-    pub(crate) fn evict_job(&self, node: NodeId, job: JobId) -> JobId {
+    pub(crate) fn evict_job(&mut self, job: JobId) -> JobId {
         match self {
             WireLink::InProcess => job,
             link => {
-                let msg = link.route(Peer::Master, Peer::Slave(node.0), Message::EvictJob { job });
+                let msg = link.route(Message::EvictJob { job });
                 let Message::EvictJob { job } = msg else {
                     unreachable!("evict decodes as evict")
                 };

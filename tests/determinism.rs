@@ -217,51 +217,6 @@ fn scheduler_engines_replay_identical_event_streams() {
 }
 
 #[test]
-fn batched_heartbeats_preserve_the_quiet_event_stream() {
-    // Batched detector processing moves the failure-detector sweep from
-    // every heartbeat arrival to the retarget tick. On a healthy cluster
-    // the sweep never finds anything, so batching must be invisible: the
-    // same events, the same end time, the same master stats. And under
-    // gray faults — where batching legitimately shifts *detection*
-    // timing — a batched run must still replay itself bit-for-bit.
-    let run = |batch: bool, gray: bool, seed: u64| {
-        let mut cfg = hetero_config(MigrationPolicy::Dyrs, seed);
-        cfg.batch_heartbeats = batch;
-        if gray {
-            cfg.gray_faults = vec![
-                GrayFault::HeartbeatLoss {
-                    at: SimTime::from_secs(4),
-                    node: NodeId(1),
-                    until: SimTime::from_secs(12),
-                },
-                GrayFault::StuckStreams {
-                    at: SimTime::from_secs(5),
-                    node: NodeId(4),
-                    until: SimTime::from_secs(40),
-                },
-            ];
-        }
-        let w = sort::sort_workload(2 << 30, SimDuration::ZERO, 0);
-        let (cfg, jobs) = with_workload(cfg, w);
-        dyrs_sim::Simulation::new(cfg, jobs).run()
-    };
-    let quiet = run(false, false, SEED);
-    let batched = run(true, false, SEED);
-    assert_eq!(
-        quiet.trace_digest, batched.trace_digest,
-        "batched heartbeats changed a healthy run's event stream"
-    );
-    assert_eq!(quiet.end_time, batched.end_time);
-    assert_eq!(quiet.master, batched.master);
-    let gray_a = run(true, true, SEED);
-    let gray_b = run(true, true, SEED);
-    assert_eq!(
-        gray_a.trace_digest, gray_b.trace_digest,
-        "a batched gray-fault run must replay bit-identically"
-    );
-}
-
-#[test]
 fn trace_exports_are_byte_identical_across_reruns() {
     // The observability exports are part of the determinism contract:
     // two same-seed runs must render byte-identical spans.jsonl,
