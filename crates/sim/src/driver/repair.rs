@@ -32,7 +32,6 @@ impl Simulation {
             return; // came back within the grace period — nothing lost
         }
         let lost = self.namenode.blocks.blocks_on(node);
-        self.datanodes[node.index()].clear_memory(); // defensive; cheap
         for block in lost {
             // The dead node's copy is gone for good.
             self.namenode.blocks.remove_replica(block, node);
@@ -54,9 +53,20 @@ impl Simulation {
     /// Start queued repairs wherever a source disk is free (at most one
     /// repair stream per source node).
     pub(crate) fn pump_repairs(&mut self) {
+        if self.repair_queue.is_empty() {
+            return;
+        }
+        // Disk replicas per node, the target tie-break. Counts change only
+        // at re-replication and repair completion, which both pump after.
+        let mut hosted = vec![0usize; self.cluster.len()];
+        for b in self.namenode.blocks.iter() {
+            for r in &b.replicas {
+                hosted[r.index()] += 1;
+            }
+        }
         let mut requeue = std::collections::VecDeque::new();
         while let Some(block) = self.repair_queue.pop_front() {
-            match self.try_start_repair(block) {
+            match self.try_start_repair(block, &hosted) {
                 RepairStart::Started => {}
                 RepairStart::Busy => requeue.push_back(block),
                 RepairStart::Unneeded => {}
@@ -65,7 +75,7 @@ impl Simulation {
         self.repair_queue = requeue;
     }
 
-    fn try_start_repair(&mut self, block: BlockId) -> RepairStart {
+    fn try_start_repair(&mut self, block: BlockId, hosted: &[usize]) -> RepairStart {
         let info = match self.namenode.blocks.get(block) {
             Some(i) => i.clone(),
             None => return RepairStart::Unneeded,
@@ -93,7 +103,7 @@ impl Simulation {
             .cluster
             .ids()
             .filter(|&n| self.cluster.node(n).up && !info.replicas.contains(&n))
-            .min_by_key(|&n| (self.datanodes[n.index()].disk_block_count(), n));
+            .min_by_key(|&n| (hosted[n.index()], n));
         let Some(target) = target else {
             return RepairStart::Unneeded; // no eligible target (tiny cluster)
         };
@@ -116,7 +126,6 @@ impl Simulation {
         self.repair_active[source.index()] = false;
         if self.cluster.node(target).up {
             self.namenode.blocks.add_replica(block, target);
-            self.datanodes[target.index()].add_disk_replica(block);
             self.repairs_completed += 1;
         } else {
             // target died mid-copy: try again elsewhere
