@@ -109,11 +109,6 @@ impl BlockMap {
     pub fn iter(&self) -> impl Iterator<Item = &BlockInfo> {
         self.blocks.values()
     }
-
-    /// Total bytes across all blocks (one replica each).
-    pub fn total_logical_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -147,14 +142,6 @@ mod tests {
     fn live_replicas_of_unknown_block_is_empty() {
         let m = BlockMap::new();
         assert!(m.live_replicas(BlockId(99), |_| true).is_empty());
-    }
-
-    #[test]
-    fn total_logical_bytes_sums_sizes() {
-        let mut m = BlockMap::new();
-        m.allocate(100, vec![n(0)]);
-        m.allocate(50, vec![n(1)]);
-        assert_eq!(m.total_logical_bytes(), 150);
     }
 
     #[test]

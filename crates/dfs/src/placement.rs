@@ -59,11 +59,6 @@ impl PlacementPolicy {
         self.replication
     }
 
-    /// True if rack-aware placement is active.
-    pub fn is_rack_aware(&self) -> bool {
-        self.racks.is_some()
-    }
-
     /// Choose replica nodes for one new block: `replication` distinct
     /// nodes, sampled without replacement (rack-aware when configured).
     pub fn place(&mut self) -> Vec<NodeId> {
@@ -203,7 +198,6 @@ mod tests {
         // every rack has ≥ 2 nodes, so the strict HDFS pattern always fits
         let racks = vec![0, 0, 0, 1, 1, 2, 2]; // 7 nodes, 3 racks
         let mut p = PlacementPolicy::rack_aware(racks.clone(), 3, Rng::new(5));
-        assert!(p.is_rack_aware());
         for _ in 0..500 {
             let r = p.place();
             let mut distinct = r.clone();
@@ -239,10 +233,12 @@ mod tests {
 
     #[test]
     fn rack_aware_falls_back_on_single_rack() {
+        // one rack: exactly the uniform policy's placements
         let mut p = PlacementPolicy::rack_aware(vec![0; 7], 3, Rng::new(5));
-        assert!(!p.is_rack_aware());
-        let r = p.place();
-        assert_eq!(r.len(), 3);
+        let mut uniform = PlacementPolicy::new(7, 3, Rng::new(5));
+        for _ in 0..50 {
+            assert_eq!(p.place(), uniform.place());
+        }
     }
 
     #[test]

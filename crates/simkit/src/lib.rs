@@ -23,7 +23,7 @@
 //! | [`time`] | [`SimTime`], [`SimDuration`] — microsecond-resolution simulated clock types |
 //! | [`queue`] | deterministic binary-heap event queue |
 //! | [`rng`] | xoshiro256++ RNG + uniform/exponential/normal/lognormal/pareto/zipf sampling |
-//! | [`stats`] | EWMA, online moments, histograms, quantiles, time-series recorder |
+//! | [`stats`] | EWMA, histograms, quantiles, time-series recorder |
 //! | [`fluid`] | fluid-flow shared resource (processor sharing with concurrency degradation) |
 //! | [`json`] | the workspace's JSON output rules and a pretty writer ([`json::ToJson`]) |
 //! | [`slab`] | generational slab allocator for hot-path records |

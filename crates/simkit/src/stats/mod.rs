@@ -1,16 +1,14 @@
-//! Online statistics used throughout the simulator and the experiment
-//! harness: exponentially weighted moving averages (the heart of DYRS's
-//! migration-time estimator), streaming moments, histograms, empirical
-//! quantiles/CDFs, and a time-series recorder for figures.
+//! Statistics used throughout the simulator and the experiment harness:
+//! exponentially weighted moving averages (the heart of DYRS's
+//! migration-time estimator), histograms, empirical quantiles/CDFs, and a
+//! time-series recorder for figures.
 
 mod ewma;
 mod histogram;
-mod online;
 mod quantile;
 mod timeseries;
 
 pub use ewma::Ewma;
 pub use histogram::Histogram;
-pub use online::OnlineStats;
 pub use quantile::{cdf_points, percentile, Quantiles};
 pub use timeseries::TimeSeries;

@@ -1,7 +1,7 @@
 //! Property-based tests for simkit invariants.
 
 use proptest::prelude::*;
-use simkit::stats::{percentile, Ewma, Histogram, OnlineStats, Quantiles, TimeSeries};
+use simkit::stats::{percentile, Ewma, Histogram, Quantiles, TimeSeries};
 use simkit::{EventQueue, FluidResource, Rng, SimDuration, SimTime};
 
 /// Build a time series from (already sorted) microsecond offsets, with the
@@ -96,27 +96,6 @@ proptest! {
             prop_assert!(v >= last);
             prop_assert!(v >= xs[0] && v <= *xs.last().unwrap());
             last = v;
-        }
-    }
-
-    /// OnlineStats::merge is equivalent to observing sequentially.
-    #[test]
-    fn online_stats_merge_equivalence(
-        xs in proptest::collection::vec(-1e6f64..1e6, 0..100),
-        split in 0usize..100,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = OnlineStats::new();
-        for &x in &xs { whole.observe(x); }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..split] { a.observe(x); }
-        for &x in &xs[split..] { b.observe(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        if !xs.is_empty() {
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-4 * (1.0 + whole.variance()));
         }
     }
 
