@@ -1,8 +1,7 @@
 //! `bench-snapshot` — a fast, CI-friendly performance snapshot.
 //!
-//! Criterion's statistical runs take minutes; CI wants a coarse number
-//! per commit to spot order-of-magnitude regressions and a JSON artifact
-//! to diff across commits. This binary times a handful of representative
+//! CI wants a coarse number per commit to spot order-of-magnitude
+//! regressions and a JSON artifact to diff across commits. This binary times a handful of representative
 //! hot paths (Algorithm 1 retargeting, one end-to-end simulation, the
 //! wire codec, the loopback transport) with plain `Instant` sampling and
 //! writes `BENCH_<sha>.json`:
@@ -12,8 +11,8 @@
 //! ```
 //!
 //! `SHA` defaults to `$GITHUB_SHA`, then `"local"`. The numbers are
-//! medians over fixed iteration counts — noisy by Criterion's standards,
-//! deliberately so: this is a smoke gauge, not a microbenchmark suite.
+//! medians over fixed iteration counts — noisy, deliberately so: this is
+//! a smoke gauge, not a statistical benchmark.
 
 use dyrs::master::{BlockRequest, Master};
 use dyrs::types::EvictionMode;

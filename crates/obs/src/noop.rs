@@ -1,5 +1,5 @@
 //! Zero-cost stand-in for the live `ObsHandle` when the `enabled` feature
-//! is off (the `cargo bench` configuration).
+//! is off (the `dyrs-bench` configuration).
 //!
 //! Same API surface, but the handle is a zero-sized type, `is_enabled()`
 //! is a constant `false` the optimizer folds away, and every recording
