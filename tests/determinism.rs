@@ -789,6 +789,23 @@ const SWIM_DISABLED_DIGEST: u64 = 0x223A_5D5C_91FA_F7F2;
 /// The DYRS run under `swim_drill_failures`.
 const SWIM_DRILL_DIGEST: u64 = 0x5949_86B4_CC52_9088;
 
+/// `(byte length, FNV-1a)` of `spans.jsonl`, `provenance.jsonl` and
+/// `trace.json` of the SWIM DYRS run and of the SWIM drill, captured
+/// before span events and provenance records kept per-migration
+/// constants in a shared table.
+const SWIM_EXPORT_PINS: [[(usize, u64); 3]; 2] = [
+    [
+        (827_519, 0x5C25_9FF7_88D9_EC64),
+        (3_526_762, 0x1B15_519F_5A11_AB32),
+        (6_521_190, 0xCE39_476F_3680_E9A7),
+    ],
+    [
+        (877_128, 0x3821_C6FE_A36D_7849),
+        (4_902_805, 0x48C2_9BB8_7AA0_86AA),
+        (6_489_933, 0x3C82_0047_3B02_A80E),
+    ],
+];
+
 #[test]
 fn swim_speculation_digests_match_the_pins() {
     // Cross-commit: speculation decisions (which tasks, in which order,
@@ -813,6 +830,24 @@ fn swim_speculation_digests_match_the_pins() {
     for ((label, r), pin) in out.iter().zip(pins) {
         assert!(r.speculations > 0, "{label}: the pin must speculate");
         assert_eq!(r.trace_digest, pin, "{label}: SWIM event stream changed");
+    }
+    // The logs at volume: thousands of span events and provenance
+    // records, full and plan walks, and abort causes, over many of the
+    // recorder's pages.
+    for ((label, r), pins) in [&out[0], &out[3]].into_iter().zip(SWIM_EXPORT_PINS) {
+        if !r.obs.enabled {
+            continue;
+        }
+        let pin = |s: String| (s.len(), fnv1a(s.as_bytes()));
+        let got = [
+            pin(r.obs.spans_jsonl()),
+            pin(r.obs.provenance_jsonl()),
+            pin(r.obs.chrome_trace_json()),
+        ];
+        let names = ["spans.jsonl", "provenance.jsonl", "trace.json"];
+        for ((name, got), want) in names.into_iter().zip(got).zip(pins) {
+            assert_eq!(got, want, "{label}: {name}");
+        }
     }
     let drill = &out[3].1;
     assert_eq!(drill.failed_jobs, vec![SWIM_DRILL_KILLED]);
