@@ -60,7 +60,7 @@
 
 use super::{Entry, Pos, RetargetStats, SchedEngine, Scheduler, CASCADE_CEILING};
 use dyrs_cluster::NodeId;
-use dyrs_obs::{CandidateScore, ObsHandle};
+use dyrs_obs::ObsHandle;
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
 
@@ -118,16 +118,15 @@ fn touch_buffers(slab: &[Option<Entry>], idx: usize) {
     black_box(e.migration.replicas.first().copied());
 }
 
-/// Commit a scored entry's winner: update the target, move the entry
-/// between per-node bind queues, cache the winner score, and emit the
-/// span event when the target changed.
+/// Commit a scored entry's winner: update the target, cache the winner
+/// score, and emit the span event when the target changed. Returns the
+/// `(old, new)` targets when they differ, for the caller to move the
+/// entry between per-node bind queues.
 fn commit(
     entry: &mut Entry,
-    targeted: &mut [BTreeSet<Pos>],
-    pos: Pos,
     best: Option<Winner>,
     obs: &ObsHandle,
-) {
+) -> Option<(Option<NodeId>, Option<NodeId>)> {
     let old_target = entry.target;
     match best {
         Some((f, _, node)) => {
@@ -142,16 +141,19 @@ fn commit(
             entry.winner_score = f64::INFINITY;
         }
     }
-    if entry.target != old_target {
-        if let Some(t) = old_target {
-            targeted[t.index()].remove(&pos);
-        }
-        if let Some(t) = entry.target {
-            targeted[t.index()].insert(pos);
-        }
-    }
     entry.cache_valid = true;
+    (entry.target != old_target).then_some((old_target, entry.target))
 }
+
+/// A full walk rebuilds a node's bind queue, rather than editing it,
+/// once the pass's edits to it reach `1 / REBUILD_SHARE` of its length
+/// and its length plus its arrivals reach `REBUILD_MIN`. A bulk build
+/// costs a few nanoseconds per entry and an edit tens of nanoseconds,
+/// but a rebuild also pays a fixed price (a buffer, fresh tree nodes)
+/// that only a queue spanning many tree leaves earns back: rebuilding
+/// small queues made a 64-node × 500-entry dense pass slower.
+const REBUILD_SHARE: usize = 4;
+pub(super) const REBUILD_MIN: usize = 256;
 
 impl Scheduler {
     /// One Algorithm 1 pass with the configured engine. Emits
@@ -186,6 +188,10 @@ impl Scheduler {
     /// given snapshot cost and backlog, walking the queue in admission
     /// order and charging each winner's score to its node's trajectory.
     /// Entries are scored in place in their slab slots.
+    ///
+    /// Nothing reads the bind queues during the walk, so it notes each
+    /// changed target and settles the queues once, at the end of the pass
+    /// ([`Scheduler::settle_bind_queues`]).
     fn pass_reference(&mut self, obs: &ObsHandle) -> RetargetStats {
         let mut finish: Vec<f64> = self
             .snap_spb
@@ -212,7 +218,17 @@ impl Scheduler {
                     best = Some((score, rank, loc));
                 }
             }
-            commit(entry, &mut self.targeted, pos, best, obs);
+            if let Some((old, new)) = commit(entry, best, obs) {
+                if let Some(t) = old {
+                    self.settle[t.index()].note(pos, false);
+                }
+                if let Some(t) = new {
+                    self.settle[t.index()].note(pos, true);
+                }
+            }
+            if let Some(t) = entry.target {
+                self.settle[t.index()].keep(pos);
+            }
             // Charge the winner to its node's trajectory: later entries
             // queue behind it.
             if let Some((f, _, w)) = best {
@@ -220,6 +236,7 @@ impl Scheduler {
             }
             record_provenance(obs, entry);
         }
+        self.settle_bind_queues();
         // A full pass leaves nothing stale.
         self.dirty_nodes.clear();
         self.dirty_entries.clear();
@@ -415,7 +432,16 @@ impl Scheduler {
                 .as_mut()
                 .expect("visited slots are live");
             entry.scores.copy_from_slice(&scratch);
-            commit(entry, &mut self.targeted, pos, best, obs);
+            // The cascade reads the bind queues (`finish_before`), so the
+            // plan walk moves the entry at once.
+            if let Some((old, new)) = commit(entry, best, obs) {
+                if let Some(t) = old {
+                    self.targeted[t.index()].remove(&pos);
+                }
+                if let Some(t) = new {
+                    self.targeted[t.index()].insert(pos);
+                }
+            }
             record_provenance(obs, entry);
             // Charge the winner to its node's live trajectory (the clean
             // same-winner case needs no update: the cached chain already
@@ -444,6 +470,35 @@ impl Scheduler {
         }
     }
 
+    /// Apply the bind-queue moves a full walk noted. A node whose edits
+    /// are a large share of its queue is rebuilt from queue order with one
+    /// bulk build (`BTreeSet::from_iter` over sorted input): the old
+    /// queue up to the node's first edit, then every entry the walk
+    /// targeted at it from there on. Every other node takes its edits one
+    /// by one. A pass that moved nothing does nothing here.
+    fn settle_bind_queues(&mut self) {
+        for (queue, moves) in self.targeted.iter_mut().zip(&mut self.settle) {
+            let Some(first) = moves.first.take() else {
+                continue;
+            };
+            let edits = moves.removed.len() + moves.inserted.len();
+            let big = queue.len() + moves.inserted.len() >= REBUILD_MIN;
+            if big && edits * REBUILD_SHARE >= queue.len() {
+                let head = queue.range(..first).copied();
+                let rebuilt: BTreeSet<Pos> = head.chain(moves.tail.iter().copied()).collect();
+                *queue = rebuilt;
+            } else {
+                for pos in &moves.removed {
+                    queue.remove(pos);
+                }
+                queue.extend(moves.inserted.iter().copied());
+            }
+            moves.removed.clear();
+            moves.inserted.clear();
+            moves.tail.clear();
+        }
+    }
+
     /// Hand a dense pass to the full walk. Any targets an abandoned plan
     /// walk committed are recomputed identically (so no duplicate
     /// `migration_targeted` events fire — the winners already match);
@@ -457,22 +512,16 @@ impl Scheduler {
     }
 }
 
-/// Stream one scored entry into the pass's provenance batch: every
-/// candidate with a finite score, and the committed winner. The candidate
-/// iterator is lazy, so an unconnected handle costs nothing here.
+/// Stream one scored entry into the pass's provenance batch: its
+/// replicas, their scores by rank (∞ for a non-candidate) and the
+/// committed winner.
 fn record_provenance(obs: &ObsHandle, entry: &Entry) {
-    let replicas = entry.migration.replicas.iter().enumerate();
     obs.provenance_push(
         entry.migration.id.0,
         entry.migration.block,
         entry.migration.bytes,
         entry.target,
-        replicas
-            .filter(|&(rank, _)| entry.scores[rank].is_finite())
-            .map(|(rank, loc)| CandidateScore {
-                node: loc.0,
-                rank: rank as u32,
-                est_finish_secs: entry.scores[rank],
-            }),
+        &entry.migration.replicas,
+        &entry.scores,
     );
 }

@@ -9,13 +9,13 @@
 //! * a **slab** of entries with LIFO slot reuse, and a block → slot
 //!   [`BTreeMap`];
 //! * the global **admission queue**, ordered by the configured
-//!   [`MigrationOrder`] encoded as an [`OrderKey`] (so the BTree *is* the
+//!   [`MigrationOrder`] encoded as an `OrderKey` (so the BTree *is* the
 //!   sort);
 //! * per-node **bind queues** (`targeted`, and `replica_idx` for the
 //!   untargeted Naive policy), which double as the dirty-node walk sets;
 //! * the dirty-node and dirty-entry sets the Algorithm 1 pass starts from.
 //!
-//! The production pass ([`SchedEngine::Planned`], see [`engine`]) scores
+//! The production pass ([`SchedEngine::Planned`], see `engine.rs`) scores
 //! from per-node snapshots and the dirty sets. The paper's full rescan is
 //! kept behind [`SchedEngine::Reference`] as the test oracle, and it is
 //! also the production pass's fallback once a pass turns dense
@@ -152,6 +152,41 @@ pub(crate) struct Scheduler {
     snap_candidate: Vec<bool>,
     /// Nodes whose snapshot changed since the last pass.
     dirty_nodes: BTreeSet<usize>,
+    /// Per node, the bind-queue moves a full walk defers to the end of
+    /// its pass; empty between passes (kept for their capacity).
+    settle: Vec<QueueMoves>,
+}
+
+/// What a full walk noted about one node's bind queue, each list in
+/// queue order: its edits, for applying one by one, and from its first
+/// edit on every entry targeted at it, for rebuilding it.
+#[derive(Debug, Clone, Default)]
+struct QueueMoves {
+    removed: Vec<Pos>,
+    inserted: Vec<Pos>,
+    /// The node's first edit of the pass, if any.
+    first: Option<Pos>,
+    /// Every entry targeted at the node from `first` on.
+    tail: Vec<Pos>,
+}
+
+impl QueueMoves {
+    /// The entry at `pos` leaves the queue, or arrives in it.
+    fn note(&mut self, pos: Pos, arrives: bool) {
+        self.first.get_or_insert(pos);
+        if arrives {
+            self.inserted.push(pos);
+        } else {
+            self.removed.push(pos);
+        }
+    }
+
+    /// The entry at `pos` ends the walk targeted at the node.
+    fn keep(&mut self, pos: Pos) {
+        if self.first.is_some() {
+            self.tail.push(pos);
+        }
+    }
 }
 
 impl Scheduler {
@@ -173,6 +208,7 @@ impl Scheduler {
             snap_queued: vec![0.0; num_nodes],
             snap_candidate: vec![true; num_nodes],
             dirty_nodes: BTreeSet::new(),
+            settle: vec![QueueMoves::default(); num_nodes],
         }
     }
 
@@ -665,6 +701,54 @@ mod tests {
         let mut report = AuditReport::new();
         s.audit(&mut report);
         assert!(report.is_clean(), "{report:?}");
+    }
+
+    #[test]
+    fn full_walks_settle_bind_queues_whole() {
+        // 600 entries only node 0 holds, then 600 on nodes 0 and 1, every
+        // 30th of those also on node 2. Swapping the two big nodes' speeds
+        // moves hundreds of entries each pass, all after node 0's first
+        // 600, so node 0's queue (over 256 entries, a quarter of them
+        // edited) is rebuilt from a head it keeps and a tail the walk
+        // noted, while node 2's small queue is edited in place. Every pass
+        // must leave each bind queue holding exactly the entries targeted
+        // at its node.
+        let mut s = Scheduler::new(3, 1.0);
+        s.set_config(SchedulerConfig {
+            engine: SchedEngine::Reference,
+        });
+        for i in 0..1200u64 {
+            let replicas: &[u32] = match i {
+                0..600 => &[0],
+                _ if i % 30 == 0 => &[2, 0, 1],
+                _ => &[0, 1],
+            };
+            s.insert(
+                mig(i, i, replicas),
+                i + 1,
+                JobHint::default(),
+                SimTime::ZERO,
+            );
+        }
+        let obs = dyrs_obs::ObsHandle::default();
+        for pass in 0..6u32 {
+            let fast = (pass % 2) as usize;
+            s.set_node_load(fast, 1.0, 0.0);
+            s.set_node_load(1 - fast, 3.0, 0.0);
+            s.set_node_load(2, 1.5 + f64::from(pass), 0.0);
+            s.retarget(&obs);
+            let mut report = AuditReport::new();
+            s.audit(&mut report);
+            assert!(report.is_clean(), "pass {pass}: {report:?}");
+            for node in 0..3 {
+                let targeted = s
+                    .entries()
+                    .filter(|e| e.target == Some(NodeId(node)))
+                    .count();
+                assert_eq!(s.targeted_len(NodeId(node)), targeted, "pass {pass}");
+            }
+        }
+        assert!(s.targeted_len(NodeId(0)) >= engine::REBUILD_MIN);
     }
 
     #[test]

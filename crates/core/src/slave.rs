@@ -61,7 +61,7 @@ pub struct Eviction {
 
 /// What the slave tells the master each heartbeat (§III-D).
 ///
-/// This is a wire payload ([`dyrs-net`'s] `Message::Heartbeat` carries
+/// This is a wire payload (`dyrs-net`'s `Message::Heartbeat` carries
 /// it): scalar fields only, so its encoding is trivially byte-stable —
 /// any roll-up added later must use `BTreeMap`/sorted collections.
 #[derive(Debug, Clone, Copy, PartialEq)]

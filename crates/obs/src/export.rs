@@ -9,7 +9,7 @@
 //! byte-identical files.
 
 use crate::report::ObsReport;
-use crate::span::SpanEvent;
+use crate::span::{CandidateScore, SpanEvent};
 use simkit::json;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -33,8 +33,8 @@ impl ObsReport {
     /// Span events as JSONL: one lifecycle transition per line.
     pub fn spans_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in &self.events {
-            push_span_json(&mut out, ev);
+        for ev in self.events.iter() {
+            push_span_json(&mut out, &ev);
             out.push('\n');
         }
         out
@@ -94,18 +94,20 @@ impl ObsReport {
     /// Algorithm 1 provenance as JSONL: one migration scoring per line.
     pub fn provenance_jsonl(&self) -> String {
         let mut out = String::new();
+        let mut candidates: Vec<CandidateScore> = Vec::new();
         for rec in self.provenance.records() {
-            let (pass, row) = (rec.pass, rec.row);
+            let (pass, consts) = (rec.pass, rec.consts);
             let _ = write!(
                 out,
                 "{{\"at_us\":{},\"pass\":{},\"migration\":{},\"block\":{},\"bytes\":{},\"candidates\":[",
                 pass.at.as_micros(),
                 pass.pass,
-                row.migration,
-                row.block,
-                row.bytes,
+                consts.migration,
+                consts.block,
+                consts.bytes,
             );
-            for (i, c) in rec.candidates.iter().enumerate() {
+            rec.candidates(&mut candidates);
+            for (i, c) in candidates.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -120,7 +122,7 @@ impl ObsReport {
             let _ = writeln!(
                 out,
                 "],\"winner\":{},\"rescored\":{},\"skipped\":{}}}",
-                row.winner
+                rec.winner
                     .map_or_else(|| "null".to_owned(), |w| w.to_string()),
                 pass.rescored,
                 pass.skipped,
@@ -148,7 +150,7 @@ impl ObsReport {
         };
 
         let mut seen = std::collections::BTreeSet::new();
-        for ev in &self.events {
+        for ev in self.events.iter() {
             let opened = !seen.insert(ev.migration);
             let phases: &[&str] = match (opened, ev.state.is_terminal()) {
                 (false, false) => &["b"],
@@ -206,7 +208,8 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{cause, CandidateScore, SpanEvent, SpanState};
+    use crate::span::{cause, SpanEvent, SpanState};
+    use dyrs_cluster::NodeId;
     use simkit::SimTime;
 
     fn sample_report() -> ObsReport {
@@ -214,7 +217,7 @@ mod tests {
             enabled: true,
             ..Default::default()
         };
-        r.events.push(SpanEvent {
+        r.events.push(&SpanEvent {
             at: SimTime::from_secs(1),
             migration: 7,
             block: 3,
@@ -224,7 +227,7 @@ mod tests {
             cause: cause::REQUESTED,
             job: Some(1),
         });
-        r.events.push(SpanEvent {
+        r.events.push(&SpanEvent {
             at: SimTime::from_secs(2),
             migration: 7,
             block: 3,
@@ -234,7 +237,7 @@ mod tests {
             cause: cause::HEARTBEAT_PULL,
             job: None,
         });
-        r.events.push(SpanEvent {
+        r.events.push(&SpanEvent {
             at: SimTime::from_secs(3),
             migration: 7,
             block: 3,
@@ -252,24 +255,8 @@ mod tests {
         let mut h = simkit::stats::Histogram::linear(0.0, 10.0, 2);
         h.observe(1.0);
         r.histograms.insert("migration.duration_secs", h);
-        r.provenance.push(
-            7,
-            3,
-            128,
-            Some(2),
-            [
-                CandidateScore {
-                    node: 1,
-                    rank: 1,
-                    est_finish_secs: 2.0,
-                },
-                CandidateScore {
-                    node: 2,
-                    rank: 0,
-                    est_finish_secs: 1.5,
-                },
-            ],
-        );
+        r.provenance
+            .push(7, 3, 128, Some(2), &[NodeId(2), NodeId(1)], &[1.5, 2.0]);
         r.provenance.stamp(SimTime::from_secs(1), 0, 1, 3);
         r
     }

@@ -1,11 +1,12 @@
 //! The live recording handle (`enabled` feature).
 
+use crate::ids::IdPages;
 use crate::report::ObsReport;
 use crate::snapshot::{
     FlightEntry, FlightRecord, GaugeSample, StatsSnapshot, FLIGHT_CAPACITY, MAX_AUTO_DUMPS,
     TOP_WINNERS,
 };
-use crate::span::{cause, CandidateScore, SpanEvent, SpanState};
+use crate::span::{cause, SpanEvent, SpanState};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::stats::{Histogram, TimeSeries};
@@ -28,33 +29,21 @@ struct Slot {
     open: Option<SpanState>,
 }
 
-/// Ids per span-table page.
-const PAGE: u64 = 256;
-
-/// Every migration id the recorder has seen, in pages of [`PAGE`]
-/// consecutive ids. The master mints ids densely, so pages fill up; a
-/// sparse id costs one small page.
+/// Every migration id the recorder has seen (see [`IdPages`]).
 #[derive(Debug, Default)]
-struct SpanTable(BTreeMap<u64, Box<[Slot]>>);
+struct SpanTable(IdPages<Slot>);
 
 impl SpanTable {
     fn slot(&mut self, id: u64) -> &mut Slot {
-        let page = self
-            .0
-            .entry(id / PAGE)
-            .or_insert_with(|| vec![Slot::default(); PAGE as usize].into_boxed_slice());
-        &mut page[(id % PAGE) as usize]
+        self.0.get_mut(id)
     }
 
     /// Ids whose last event is non-terminal, ascending.
     fn open_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0.iter().flat_map(|(&page, slots)| {
-            slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.open.is_some())
-                .map(move |(i, _)| page * PAGE + i as u64)
-        })
+        self.0
+            .iter()
+            .filter(|(_, s)| s.open.is_some())
+            .map(|(id, _)| id)
     }
 }
 
@@ -203,7 +192,7 @@ impl ObsHandle {
             }
             let (block, bytes) = (slot.block, slot.bytes);
             let at = inner.now;
-            inner.report.events.push(SpanEvent {
+            inner.report.events.push(&SpanEvent {
                 at,
                 migration,
                 block,
@@ -336,17 +325,22 @@ impl ObsHandle {
         }
     }
 
-    /// Stage one entry an Algorithm 1 pass just scored: its candidate
-    /// replicas with their scores (the recorder orders them by
-    /// `(node, rank)`) and the chosen node, if any. The staged records
-    /// become one pass at the next [`ObsHandle::retarget_pass`].
+    /// Stage one entry an Algorithm 1 pass just scored: its replica nodes
+    /// in rank order, one score per rank (non-finite for a replica that
+    /// was not a candidate), and the chosen node, if any. The staged
+    /// records become one pass at the next [`ObsHandle::retarget_pass`].
+    ///
+    /// # Panics
+    ///
+    /// If `scores` and `replicas` differ in length.
     pub fn provenance_push(
         &self,
         migration: u64,
         block: BlockId,
         bytes: u64,
         winner: Option<NodeId>,
-        candidates: impl IntoIterator<Item = CandidateScore>,
+        replicas: &[NodeId],
+        scores: &[f64],
     ) {
         if let Some(inner) = &self.0 {
             let inner = &mut *inner.borrow_mut();
@@ -354,7 +348,7 @@ impl ObsHandle {
             inner
                 .report
                 .provenance
-                .push(migration, block.0, bytes, winner, candidates);
+                .push(migration, block.0, bytes, winner, replicas, scores);
             if let Some(w) = winner {
                 let w = w as usize;
                 if w >= inner.wins.len() {
@@ -619,11 +613,12 @@ mod tests {
         h.migration_finished(5, NodeId(1), SimDuration::from_secs(4));
         let r = h.take_report();
         assert!(r.enabled);
-        assert_eq!(r.events.len(), 3);
+        let events: Vec<SpanEvent> = r.events.iter().collect();
+        assert_eq!(events.len(), 3);
         // Later events inherit block/bytes from the pending record.
-        assert!(r.events.iter().all(|e| e.block == 42 && e.bytes == 1024));
-        assert_eq!(r.events[1].at, SimTime::from_secs(2));
-        assert_eq!(r.events[1].node, Some(1));
+        assert!(events.iter().all(|e| e.block == 42 && e.bytes == 1024));
+        assert_eq!(events[1].at, SimTime::from_secs(2));
+        assert_eq!(events[1].node, Some(1));
         assert_eq!(r.counter("span.pending"), 1);
         assert_eq!(r.counter("span.finished"), 1);
         let hist = r.histogram("migration.duration_secs").expect("histogram");
@@ -648,7 +643,7 @@ mod tests {
     fn retarget_pass_assigns_monotone_pass_index() {
         let h = ObsHandle::new();
         h.set_now(SimTime::from_secs(1));
-        let rec = |mig| h.provenance_push(mig, BlockId(mig), 8, None, []);
+        let rec = |mig| h.provenance_push(mig, BlockId(mig), 8, None, &[], &[]);
         rec(1);
         rec(2);
         h.retarget_pass(2, 5);
@@ -712,7 +707,7 @@ mod tests {
     fn snapshot_rolls_up_top_provenance_winners() {
         let h = ObsHandle::new();
         let rec = |mig, winner: Option<u32>| {
-            h.provenance_push(mig, BlockId(mig), 8, winner.map(NodeId), []);
+            h.provenance_push(mig, BlockId(mig), 8, winner.map(NodeId), &[], &[]);
         };
         rec(1, Some(4));
         rec(2, Some(4));

@@ -8,7 +8,7 @@
 //!
 //! Three pillars:
 //!
-//! 1. **Lifecycle spans** ([`SpanEvent`]): every migration gets a span
+//! 1. **Lifecycle spans** ([`SpanLog`] of [`SpanEvent`]s): every migration gets a span
 //!    `pending → targeted → bound(node) → started → finished | aborted |
 //!    evicted`, each transition stamped with [`SimTime`](simkit::SimTime)
 //!    and a cause (see [`cause`]).
@@ -39,12 +39,15 @@
 #![warn(missing_docs)]
 
 mod export;
+#[cfg(any(feature = "enabled", test))]
+mod ids;
+mod pages;
 mod report;
 pub mod rpc;
 mod snapshot;
 mod span;
 
-pub use report::{ObsReport, ProvenanceLog};
+pub use report::{ObsReport, ProvenanceLog, SpanLog};
 pub use snapshot::{
     FlightEntry, FlightRecord, GaugeSample, StatsSnapshot, FLIGHT_CAPACITY, MAX_AUTO_DUMPS,
     TOP_WINNERS,

@@ -8,12 +8,12 @@
 
 use crate::report::ObsReport;
 use crate::snapshot::{FlightRecord, StatsSnapshot};
-use crate::span::CandidateScore;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::{SimDuration, SimTime};
 
-/// No-op recording handle; see [the module docs](self).
+/// No-op recording handle: zero-sized, never enabled, and every
+/// recording method compiles to nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ObsHandle;
 
@@ -87,7 +87,7 @@ impl ObsHandle {
     #[inline]
     pub fn tier_evicted(&self, _block: BlockId, _node: NodeId, _to: Option<u8>) {}
 
-    /// No-op; the candidates are never iterated.
+    /// No-op.
     #[inline]
     pub fn provenance_push(
         &self,
@@ -95,7 +95,8 @@ impl ObsHandle {
         _block: BlockId,
         _bytes: u64,
         _winner: Option<NodeId>,
-        _candidates: impl IntoIterator<Item = CandidateScore>,
+        _replicas: &[NodeId],
+        _scores: &[f64],
     ) {
     }
 

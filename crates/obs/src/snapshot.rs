@@ -48,7 +48,9 @@ pub struct GaugeSample {
     pub at: SimTime,
 }
 
-/// Point-in-time view of a live recorder; see [the module docs](self).
+/// Point-in-time view of a live recorder: counter totals, the latest
+/// sample of every gauge series, the open-span census and the top
+/// provenance winners. Producing one never mutates the recorder.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Recorder clock at scrape time.
