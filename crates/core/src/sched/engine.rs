@@ -145,13 +145,15 @@ fn commit(
     (entry.target != old_target).then_some((old_target, entry.target))
 }
 
-/// A full walk rebuilds a node's bind queue, rather than editing it,
-/// once the pass's edits to it reach `1 / REBUILD_SHARE` of its length
-/// and its length plus its arrivals reach `REBUILD_MIN`. A bulk build
-/// costs a few nanoseconds per entry and an edit tens of nanoseconds,
-/// but a rebuild also pays a fixed price (a buffer, fresh tree nodes)
-/// that only a queue spanning many tree leaves earns back: rebuilding
-/// small queues made a 64-node × 500-entry dense pass slower.
+/// A full walk defers the edits to a node's bind queue when the queue is
+/// empty or holds at least `REBUILD_MIN` entries at its first edit, and
+/// then rebuilds it once the edits reach `1 / REBUILD_SHARE` of its
+/// length (an empty queue always). A bulk build costs a few nanoseconds
+/// per entry and an edit tens of nanoseconds, but deferring has a fixed
+/// price (noting every entry the walk targets at the node, a buffer,
+/// fresh tree nodes) that only a queue spanning many tree leaves earns
+/// back: rebuilding small queues made a 64-node × 500-entry dense pass
+/// slower.
 const REBUILD_SHARE: usize = 4;
 pub(super) const REBUILD_MIN: usize = 256;
 
@@ -189,8 +191,8 @@ impl Scheduler {
     /// order and charging each winner's score to its node's trajectory.
     /// Entries are scored in place in their slab slots.
     ///
-    /// Nothing reads the bind queues during the walk, so it notes each
-    /// changed target and settles the queues once, at the end of the pass
+    /// Nothing reads the bind queues during the walk, so it defers the
+    /// edits to big queues and settles them once, at the end of the pass
     /// ([`Scheduler::settle_bind_queues`]).
     fn pass_reference(&mut self, obs: &ObsHandle) -> RetargetStats {
         let mut finish: Vec<f64> = self
@@ -220,10 +222,12 @@ impl Scheduler {
             }
             if let Some((old, new)) = commit(entry, best, obs) {
                 if let Some(t) = old {
-                    self.settle[t.index()].note(pos, false);
+                    let t = t.index();
+                    self.settle[t].note(&mut self.targeted[t], pos, false);
                 }
                 if let Some(t) = new {
-                    self.settle[t.index()].note(pos, true);
+                    let t = t.index();
+                    self.settle[t].note(&mut self.targeted[t], pos, true);
                 }
             }
             if let Some(t) = entry.target {
@@ -470,20 +474,22 @@ impl Scheduler {
         }
     }
 
-    /// Apply the bind-queue moves a full walk noted. A node whose edits
-    /// are a large share of its queue is rebuilt from queue order with one
-    /// bulk build (`BTreeSet::from_iter` over sorted input): the old
-    /// queue up to the node's first edit, then every entry the walk
-    /// targeted at it from there on. Every other node takes its edits one
-    /// by one. A pass that moved nothing does nothing here.
+    /// Apply the bind-queue edits a full walk deferred. A queue whose
+    /// edits are a large share of it is rebuilt from queue order with one
+    /// bulk build (`BTreeSet::from_iter` over sorted input): the queue up
+    /// to the node's first edit, then every entry the walk targeted at
+    /// the node from there on. Any other deferred queue takes its edits
+    /// one by one. A pass that moved nothing does nothing here.
     fn settle_bind_queues(&mut self) {
         for (queue, moves) in self.targeted.iter_mut().zip(&mut self.settle) {
             let Some(first) = moves.first.take() else {
                 continue;
             };
+            if !std::mem::take(&mut moves.deferred) {
+                continue; // edited in place during the walk
+            }
             let edits = moves.removed.len() + moves.inserted.len();
-            let big = queue.len() + moves.inserted.len() >= REBUILD_MIN;
-            if big && edits * REBUILD_SHARE >= queue.len() {
+            if edits * REBUILD_SHARE >= queue.len() {
                 let head = queue.range(..first).copied();
                 let rebuilt: BTreeSet<Pos> = head.chain(moves.tail.iter().copied()).collect();
                 *queue = rebuilt;

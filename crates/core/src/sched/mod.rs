@@ -158,32 +158,44 @@ pub(crate) struct Scheduler {
 }
 
 /// What a full walk noted about one node's bind queue, each list in
-/// queue order: its edits, for applying one by one, and from its first
-/// edit on every entry targeted at it, for rebuilding it.
+/// queue order.
 #[derive(Debug, Clone, Default)]
 struct QueueMoves {
-    removed: Vec<Pos>,
-    inserted: Vec<Pos>,
     /// The node's first edit of the pass, if any.
     first: Option<Pos>,
-    /// Every entry targeted at the node from `first` on.
+    /// Whether the walk defers the queue's edits to the end of the pass:
+    /// the queue was empty, or held at least `engine::REBUILD_MIN`
+    /// entries, at the first edit. Any other queue is edited at once.
+    deferred: bool,
+    removed: Vec<Pos>,
+    inserted: Vec<Pos>,
+    /// Every entry targeted at the node from `first` on, while `deferred`.
     tail: Vec<Pos>,
 }
 
 impl QueueMoves {
-    /// The entry at `pos` leaves the queue, or arrives in it.
-    fn note(&mut self, pos: Pos, arrives: bool) {
-        self.first.get_or_insert(pos);
-        if arrives {
-            self.inserted.push(pos);
-        } else {
-            self.removed.push(pos);
+    /// The entry at `pos` leaves `queue`, the node's bind queue, or
+    /// arrives in it.
+    fn note(&mut self, queue: &mut BTreeSet<Pos>, pos: Pos, arrives: bool) {
+        if self.first.is_none() {
+            self.first = Some(pos);
+            self.deferred = queue.is_empty() || queue.len() >= engine::REBUILD_MIN;
+        }
+        match (self.deferred, arrives) {
+            (true, true) => self.inserted.push(pos),
+            (true, false) => self.removed.push(pos),
+            (false, true) => {
+                queue.insert(pos);
+            }
+            (false, false) => {
+                queue.remove(&pos);
+            }
         }
     }
 
     /// The entry at `pos` ends the walk targeted at the node.
     fn keep(&mut self, pos: Pos) {
-        if self.first.is_some() {
+        if self.deferred {
             self.tail.push(pos);
         }
     }
@@ -710,9 +722,11 @@ mod tests {
         // moves hundreds of entries each pass, all after node 0's first
         // 600, so node 0's queue (over 256 entries, a quarter of them
         // edited) is rebuilt from a head it keeps and a tail the walk
-        // noted, while node 2's small queue is edited in place. Every pass
-        // must leave each bind queue holding exactly the entries targeted
-        // at its node.
+        // noted, while node 2's small queue is edited during the walk. A
+        // last pass moves only node 2's few entries, so the big queues
+        // take their deferred edits one by one. Every pass must leave
+        // each bind queue holding exactly the entries targeted at its
+        // node.
         let mut s = Scheduler::new(3, 1.0);
         s.set_config(SchedulerConfig {
             engine: SchedEngine::Reference,
@@ -731,11 +745,16 @@ mod tests {
             );
         }
         let obs = dyrs_obs::ObsHandle::default();
-        for pass in 0..6u32 {
-            let fast = (pass % 2) as usize;
+        for pass in 0..7u32 {
+            let fast = (pass.min(5) % 2) as usize;
+            let slow2 = if pass == 6 {
+                900.0
+            } else {
+                1.5 + f64::from(pass)
+            };
             s.set_node_load(fast, 1.0, 0.0);
             s.set_node_load(1 - fast, 3.0, 0.0);
-            s.set_node_load(2, 1.5 + f64::from(pass), 0.0);
+            s.set_node_load(2, slow2, 0.0);
             s.retarget(&obs);
             let mut report = AuditReport::new();
             s.audit(&mut report);

@@ -29,24 +29,6 @@ struct Slot {
     open: Option<SpanState>,
 }
 
-/// Every migration id the recorder has seen (see [`IdPages`]).
-#[derive(Debug, Default)]
-struct SpanTable(IdPages<Slot>);
-
-impl SpanTable {
-    fn slot(&mut self, id: u64) -> &mut Slot {
-        self.0.get_mut(id)
-    }
-
-    /// Ids whose last event is non-terminal, ascending.
-    fn open_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0
-            .iter()
-            .filter(|(_, s)| s.open.is_some())
-            .map(|(id, _)| id)
-    }
-}
-
 /// The counter each recorded transition bumps.
 fn span_counter(state: SpanState) -> &'static str {
     match state {
@@ -82,7 +64,8 @@ struct Inner {
     /// however many nodes or jobs key them. `take_report` flattens it
     /// into `ObsReport::gauges`, which has the same (name, key) order.
     gauges: BTreeMap<&'static str, BTreeMap<u64, TimeSeries>>,
-    spans: SpanTable,
+    /// A slot for every migration id the recorder has seen.
+    spans: IdPages<Slot>,
     /// `span.*` counts since the last `take_report`, by state; folded into
     /// the counters by `take_report` and `snapshot`.
     span_counts: [u64; SpanState::ALL.len()],
@@ -182,7 +165,7 @@ impl ObsHandle {
     ) {
         if let Some(inner) = &self.0 {
             let inner = &mut *inner.borrow_mut();
-            let slot = inner.spans.slot(migration);
+            let slot = inner.spans.get_mut(migration);
             if let Some(was) = slot.open {
                 inner.open_counts[was as usize] -= 1;
             }
@@ -238,7 +221,7 @@ impl ObsHandle {
     ) {
         if let Some(inner) = &self.0 {
             let mut inner = inner.borrow_mut();
-            let slot = inner.spans.slot(migration);
+            let slot = inner.spans.get_mut(migration);
             slot.block = block.0;
             slot.bytes = bytes;
         }
@@ -332,7 +315,8 @@ impl ObsHandle {
     ///
     /// # Panics
     ///
-    /// If `scores` and `replicas` differ in length.
+    /// If `scores` and `replicas` differ in length, or the winner is
+    /// `NodeId(u32::MAX)`.
     pub fn provenance_push(
         &self,
         migration: u64,
@@ -436,7 +420,13 @@ impl ObsHandle {
     /// ends in exactly one terminal event, whatever the run cut short.
     pub fn close_dangling(&self, why: &'static str) {
         let Some(inner) = &self.0 else { return };
-        let dangling: Vec<u64> = inner.borrow().spans.open_ids().collect();
+        let dangling: Vec<u64> = inner
+            .borrow()
+            .spans
+            .iter()
+            .filter(|(_, slot)| slot.open.is_some())
+            .map(|(id, _)| id)
+            .collect();
         for id in dangling {
             self.migration_aborted(id, None, why);
         }
