@@ -146,9 +146,9 @@ fn commit(
 }
 
 /// A full walk defers the edits to a node's bind queue when the queue is
-/// empty or holds at least `REBUILD_MIN` entries at its first edit, and
-/// then rebuilds it once the edits reach `1 / REBUILD_SHARE` of its
-/// length (an empty queue always). A bulk build costs a few nanoseconds
+/// empty or holds at least `REBUILD_MIN` entries, and then rebuilds it
+/// once the edits reach `1 / REBUILD_SHARE` of its length (an empty
+/// queue always). A bulk build costs a few nanoseconds
 /// per entry and an edit tens of nanoseconds, but deferring has a fixed
 /// price (noting every entry the walk targets at the node, a buffer,
 /// fresh tree nodes) that only a queue spanning many tree leaves earns
@@ -202,6 +202,9 @@ impl Scheduler {
             .map(|(spb, queued)| spb * queued)
             .collect();
         let total = self.queue.len() as u64;
+        // Whether some queue's edits are deferred yet: until then no entry
+        // needs noting, so a pass that changes no target adds no work.
+        let mut deferring = false;
         for &pos in &self.queue {
             let entry = self.raw_pending[pos.1]
                 .as_mut()
@@ -223,14 +226,14 @@ impl Scheduler {
             if let Some((old, new)) = commit(entry, best, obs) {
                 if let Some(t) = old {
                     let t = t.index();
-                    self.settle[t].note(&mut self.targeted[t], pos, false);
+                    deferring |= self.settle[t].note(&mut self.targeted[t], pos, false);
                 }
                 if let Some(t) = new {
                     let t = t.index();
-                    self.settle[t].note(&mut self.targeted[t], pos, true);
+                    deferring |= self.settle[t].note(&mut self.targeted[t], pos, true);
                 }
             }
-            if let Some(t) = entry.target {
+            if let (true, Some(t)) = (deferring, entry.target) {
                 self.settle[t.index()].keep(pos);
             }
             // Charge the winner to its node's trajectory: later entries
@@ -240,7 +243,9 @@ impl Scheduler {
             }
             record_provenance(obs, entry);
         }
-        self.settle_bind_queues();
+        if deferring {
+            self.settle_bind_queues();
+        }
         // A full pass leaves nothing stale.
         self.dirty_nodes.clear();
         self.dirty_entries.clear();
@@ -485,9 +490,6 @@ impl Scheduler {
             let Some(first) = moves.first.take() else {
                 continue;
             };
-            if !std::mem::take(&mut moves.deferred) {
-                continue; // edited in place during the walk
-            }
             let edits = moves.removed.len() + moves.inserted.len();
             if edits * REBUILD_SHARE >= queue.len() {
                 let head = queue.range(..first).copied();

@@ -157,31 +157,28 @@ pub(crate) struct Scheduler {
     settle: Vec<QueueMoves>,
 }
 
-/// What a full walk noted about one node's bind queue, each list in
-/// queue order.
+/// The edits a full walk deferred for one node's bind queue, each list
+/// in queue order.
 #[derive(Debug, Clone, Default)]
 struct QueueMoves {
-    /// The node's first edit of the pass, if any.
+    /// The first deferred edit of the pass, if any.
     first: Option<Pos>,
-    /// Whether the walk defers the queue's edits to the end of the pass:
-    /// the queue was empty, or held at least `engine::REBUILD_MIN`
-    /// entries, at the first edit. Any other queue is edited at once.
-    deferred: bool,
     removed: Vec<Pos>,
     inserted: Vec<Pos>,
-    /// Every entry targeted at the node from `first` on, while `deferred`.
+    /// Every entry targeted at the node from `first` on.
     tail: Vec<Pos>,
 }
 
 impl QueueMoves {
     /// The entry at `pos` leaves `queue`, the node's bind queue, or
-    /// arrives in it.
-    fn note(&mut self, queue: &mut BTreeSet<Pos>, pos: Pos, arrives: bool) {
-        if self.first.is_none() {
-            self.first = Some(pos);
-            self.deferred = queue.is_empty() || queue.len() >= engine::REBUILD_MIN;
-        }
-        match (self.deferred, arrives) {
+    /// arrives in it. The edit is deferred, and `true` returned, once
+    /// the queue's edits are deferred or when the queue is empty or holds
+    /// at least `engine::REBUILD_MIN` entries; a deferred queue is not
+    /// touched again until the settle, so it stays deferred. Any other
+    /// edit is made at once.
+    fn note(&mut self, queue: &mut BTreeSet<Pos>, pos: Pos, arrives: bool) -> bool {
+        let defer = self.first.is_some() || queue.is_empty() || queue.len() >= engine::REBUILD_MIN;
+        match (defer, arrives) {
             (true, true) => self.inserted.push(pos),
             (true, false) => self.removed.push(pos),
             (false, true) => {
@@ -191,11 +188,15 @@ impl QueueMoves {
                 queue.remove(&pos);
             }
         }
+        if defer {
+            self.first.get_or_insert(pos);
+        }
+        defer
     }
 
     /// The entry at `pos` ends the walk targeted at the node.
     fn keep(&mut self, pos: Pos) {
-        if self.deferred {
+        if self.first.is_some() {
             self.tail.push(pos);
         }
     }
