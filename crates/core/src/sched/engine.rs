@@ -146,16 +146,59 @@ fn commit(
 }
 
 /// A full walk defers the edits to a node's bind queue when the queue is
-/// empty or holds at least `REBUILD_MIN` entries, and then rebuilds it
-/// once the edits reach `1 / REBUILD_SHARE` of its length (an empty
-/// queue always). A bulk build costs a few nanoseconds
-/// per entry and an edit tens of nanoseconds, but deferring has a fixed
-/// price (noting every entry the walk targets at the node, a buffer,
-/// fresh tree nodes) that only a queue spanning many tree leaves earns
-/// back: rebuilding small queues made a 64-node × 500-entry dense pass
-/// slower.
+/// empty or holds at least `REBUILD_MIN` entries, and rebuilds a deferred
+/// queue once its edits reach `1 / REBUILD_SHARE` of its length (an
+/// empty queue always). A bulk build costs a few nanoseconds per entry
+/// and an edit tens of nanoseconds, but deferring has a fixed price
+/// (noting every entry the walk targets at the node, a buffer, fresh tree
+/// nodes) that only a queue spanning many tree leaves earns back:
+/// rebuilding small queues made a 64-node × 500-entry dense pass slower.
 const REBUILD_SHARE: usize = 4;
 pub(super) const REBUILD_MIN: usize = 256;
+
+/// The edits a full walk deferred for one node's bind queue, each list
+/// in queue order.
+#[derive(Debug, Clone, Default)]
+pub(super) struct QueueMoves {
+    /// The first deferred edit of the pass, if any.
+    first: Option<Pos>,
+    removed: Vec<Pos>,
+    inserted: Vec<Pos>,
+    /// Every entry targeted at the node from `first` on.
+    tail: Vec<Pos>,
+}
+
+impl QueueMoves {
+    /// The entry at `pos` leaves `queue`, the node's bind queue, or
+    /// arrives in it. The edit is deferred, and `true` returned, when the
+    /// queue is empty or holds at least `REBUILD_MIN` entries, and from
+    /// then on: a deferred queue is not touched again until the settle.
+    /// Any other edit is made at once.
+    fn note(&mut self, queue: &mut BTreeSet<Pos>, pos: Pos, arrives: bool) -> bool {
+        let defer = self.first.is_some() || queue.is_empty() || queue.len() >= REBUILD_MIN;
+        match (defer, arrives) {
+            (true, true) => self.inserted.push(pos),
+            (true, false) => self.removed.push(pos),
+            (false, true) => {
+                queue.insert(pos);
+            }
+            (false, false) => {
+                queue.remove(&pos);
+            }
+        }
+        if defer {
+            self.first.get_or_insert(pos);
+        }
+        defer
+    }
+
+    /// The entry at `pos` ends the walk targeted at the node.
+    fn keep(&mut self, pos: Pos) {
+        if self.first.is_some() {
+            self.tail.push(pos);
+        }
+    }
+}
 
 impl Scheduler {
     /// One Algorithm 1 pass with the configured engine. Emits

@@ -154,52 +154,7 @@ pub(crate) struct Scheduler {
     dirty_nodes: BTreeSet<usize>,
     /// Per node, the bind-queue moves a full walk defers to the end of
     /// its pass; empty between passes (kept for their capacity).
-    settle: Vec<QueueMoves>,
-}
-
-/// The edits a full walk deferred for one node's bind queue, each list
-/// in queue order.
-#[derive(Debug, Clone, Default)]
-struct QueueMoves {
-    /// The first deferred edit of the pass, if any.
-    first: Option<Pos>,
-    removed: Vec<Pos>,
-    inserted: Vec<Pos>,
-    /// Every entry targeted at the node from `first` on.
-    tail: Vec<Pos>,
-}
-
-impl QueueMoves {
-    /// The entry at `pos` leaves `queue`, the node's bind queue, or
-    /// arrives in it. The edit is deferred, and `true` returned, once
-    /// the queue's edits are deferred or when the queue is empty or holds
-    /// at least `engine::REBUILD_MIN` entries; a deferred queue is not
-    /// touched again until the settle, so it stays deferred. Any other
-    /// edit is made at once.
-    fn note(&mut self, queue: &mut BTreeSet<Pos>, pos: Pos, arrives: bool) -> bool {
-        let defer = self.first.is_some() || queue.is_empty() || queue.len() >= engine::REBUILD_MIN;
-        match (defer, arrives) {
-            (true, true) => self.inserted.push(pos),
-            (true, false) => self.removed.push(pos),
-            (false, true) => {
-                queue.insert(pos);
-            }
-            (false, false) => {
-                queue.remove(&pos);
-            }
-        }
-        if defer {
-            self.first.get_or_insert(pos);
-        }
-        defer
-    }
-
-    /// The entry at `pos` ends the walk targeted at the node.
-    fn keep(&mut self, pos: Pos) {
-        if self.first.is_some() {
-            self.tail.push(pos);
-        }
-    }
+    settle: Vec<engine::QueueMoves>,
 }
 
 impl Scheduler {
@@ -221,7 +176,7 @@ impl Scheduler {
             snap_queued: vec![0.0; num_nodes],
             snap_candidate: vec![true; num_nodes],
             dirty_nodes: BTreeSet::new(),
-            settle: vec![QueueMoves::default(); num_nodes],
+            settle: vec![engine::QueueMoves::default(); num_nodes],
         }
     }
 

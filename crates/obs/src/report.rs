@@ -95,7 +95,7 @@ pub struct SpanLog {
 
 /// One stored span event.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SpanRecord {
+struct SpanRecord {
     at: SimTime,
     migration: u64,
     block: u64,
@@ -183,8 +183,8 @@ impl SpanLog {
 /// What never changes for a migration id (its block, size, and replica
 /// nodes in rank order) is stored once, in a per-migration table: an
 /// entry is written the first time a push names the id, and again only
-/// when a push brings different values. A row keeps only what the pass
-/// decided: an 8-byte row (a reference to those constants and the
+/// when a push brings different values. A record keeps only what the
+/// pass decided: an 8-byte row (a reference to those constants and the
 /// winner) and one 8-byte score per replica rank (∞ for a non-candidate),
 /// which follow the previous row's scores. Iteration rebuilds the
 /// candidates: the ranks with a finite score, ordered by `(node, rank)`.
@@ -234,7 +234,7 @@ pub(crate) struct PassHeader {
 /// One scored entry. Its scores, one per replica of its constants,
 /// follow the previous row's.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Row {
+struct Row {
     /// Index of the migration's constants in `ProvenanceLog::consts`.
     consts: u32,
     /// The winner's node plus one, or 0 for no winner.
