@@ -525,9 +525,9 @@ impl Scheduler {
     /// Apply the bind-queue edits a full walk deferred. A queue whose
     /// edits are a large share of it is rebuilt from queue order with one
     /// bulk build (`BTreeSet::from_iter` over sorted input): the queue up
-    /// to the node's first edit, then every entry the walk targeted at
+    /// to its first deferred edit, then every entry the walk targeted at
     /// the node from there on. Any other deferred queue takes its edits
-    /// one by one. A pass that moved nothing does nothing here.
+    /// one by one.
     fn settle_bind_queues(&mut self) {
         for (queue, moves) in self.targeted.iter_mut().zip(&mut self.settle) {
             let Some(first) = moves.first.take() else {
