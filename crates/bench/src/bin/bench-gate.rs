@@ -21,13 +21,7 @@ use std::process::ExitCode;
 
 /// Benches that gate the merge. Keep to entries whose medians are large
 /// enough (≥ ~1 ms) that the 25% threshold clears machine jitter.
-const PINNED: &[&str] = &[
-    "algo1/full_rescan_100k",
-    "algo1/planned_100k_1dirty",
-    "algo1/planned_1m_1k",
-    "algo1/planned_1m_sparse_pass",
-    "algo1/planned_1m_refresh_pass",
-];
+const PINNED: &[&str] = &["algo1/full_rescan_100k", "algo1/full_rescan_1m_1k"];
 
 /// Extract `(name, median_ns)` pairs from a `bench-snapshot` JSON. The
 /// writer emits one bench object per line with fixed key order, so a

@@ -16,7 +16,7 @@
 
 use dyrs::master::{BlockRequest, Master};
 use dyrs::types::EvictionMode;
-use dyrs::{MigrationPolicy, SchedEngine, SchedulerConfig};
+use dyrs::MigrationPolicy;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use dyrs_experiments::scenarios::{hetero_config, with_workload};
@@ -61,15 +61,14 @@ fn summarize(name: &'static str, mut samples: Vec<u64>) -> Snapshot {
 }
 
 /// A master with `blocks` pending 256 MB migrations spread over `nodes`
-/// slaves (3 replicas each), running the requested Algorithm 1 engine.
-fn loaded_master(blocks: u64, nodes: u32, engine: SchedEngine) -> Master {
+/// slaves (3 replicas each).
+fn loaded_master(blocks: u64, nodes: u32) -> Master {
     let mut m = Master::new(
         MigrationPolicy::Dyrs,
         nodes as usize,
         140.0 * MB as f64,
         Rng::new(1),
     );
-    m.set_sched_config(SchedulerConfig { engine });
     let mut rng = Rng::new(2);
     for n in 0..nodes {
         m.on_heartbeat(
@@ -107,10 +106,6 @@ fn loaded_master_1m(blocks: u64, nodes: u32) -> Master {
         Rng::new(1),
     );
     let mut rng = Rng::new(2);
-    // Fixed one-block backlog everywhere: the benched drift below then
-    // perturbs *only* the spb estimate, so the dirtiness really is sparse
-    // (a queued-bytes jump would flip winners and cascade queue-wide,
-    // turning every pass into a de-facto full rescan).
     for n in 0..nodes {
         m.on_heartbeat(
             NodeId(n),
@@ -136,85 +131,28 @@ fn loaded_master_1m(blocks: u64, nodes: u32) -> Master {
     m
 }
 
-/// Keeping 1M pending blocks' targets current across a 1k-node fleet
-/// with the production engine.
-///
-/// One iteration is one heartbeat *window*: seven sparse ticks (32
-/// spread-out nodes report estimate drift, everyone else is clean) and
-/// then one fleet-wide refresh tick (every node reports a moved
-/// estimate — the estimator-rebaseline / post-recovery-resync case).
-/// Each tick ends in one retarget pass. The window median is
-/// `algo1/planned_1m_1k`; the per-regime pass medians are also recorded
-/// so the JSON carries the decomposition:
-///
-/// * sparse ticks — the plan walk: a sorted visit plan over the dirty
-///   nodes' replica holders, streamed ahead of the scoring cursor;
-/// * refresh ticks — the density ceiling trips upfront from O(1) index
-///   bounds and the pass runs as the sequential full walk.
-fn bench_algo1_1m() -> Vec<Snapshot> {
-    const PENDING: u64 = 1_000_000;
-    const NODES: u32 = 1_000;
-    const DIRTY: u32 = 32;
-    const WINDOWS: usize = 6;
-    const SPARSE_TICKS: usize = 7;
-    let run = |names: [&'static str; 3]| -> Vec<Snapshot> {
-        let mut m = loaded_master_1m(PENDING, NODES);
-        // Re-baseline every node's estimate with locally-known values, so
-        // the benched drift below perturbs each node *around its own
-        // baseline*. Jumping a node to an unrelated estimate would flip
-        // winners wholesale and cascade queue-wide — every tick would be
-        // a de-facto full rescan instead of the two regimes this bench
-        // pins.
-        let mut rng = Rng::new(3);
-        let spbs: Vec<f64> = (0..NODES)
-            .map(|n| {
-                let s = rng.range_f64(0.8, 4.0) / (140.0 * MB as f64);
-                m.on_heartbeat(NodeId(n), s, BLOCK);
-                s
-            })
-            .collect();
-        m.retarget(); // warm: the first pass scores all 1M entries
-        let mut tick = 0u64;
-        let mut windows = Vec::with_capacity(WINDOWS);
-        let mut sparse = Vec::with_capacity(WINDOWS * SPARSE_TICKS);
-        let mut refresh = Vec::with_capacity(WINDOWS);
-        for _ in 0..WINDOWS {
-            let w0 = Instant::now();
-            for _ in 0..SPARSE_TICKS {
-                tick += 1;
-                // 32 spread-out nodes report a hair of estimate drift;
-                // the set shifts each tick so different queue regions
-                // stay involved.
-                for d in 0..DIRTY {
-                    let node = (d * (NODES / DIRTY) + (tick as u32 % 31)) % NODES;
-                    let drift = spbs[node as usize] * (1.0 + (tick + d as u64) as f64 * 1e-12);
-                    m.on_heartbeat(NodeId(node), drift, BLOCK);
-                }
-                let t = Instant::now();
-                std::hint::black_box(m.retarget().rescored);
-                sparse.push(t.elapsed().as_nanos() as u64);
-            }
-            tick += 1;
-            for n in 0..NODES {
-                let drift = spbs[n as usize] * (1.0 + (tick + n as u64) as f64 * 1e-12);
-                m.on_heartbeat(NodeId(n), drift, BLOCK);
-            }
+/// Time `iters` Algorithm 1 passes over `m` after a warm first pass.
+/// Before each timed pass node 0's estimate drifts by a hair (untimed),
+/// so every pass walks the whole queue instead of taking the clean-pass
+/// skip, and winners barely move.
+fn sample_walks(m: &mut Master, iters: usize) -> Vec<u64> {
+    let spb = 1.0 / (140.0 * MB as f64);
+    m.on_heartbeat(NodeId(0), spb, BLOCK);
+    m.retarget();
+    (1..=iters)
+        .map(|tick| {
+            m.on_heartbeat(NodeId(0), spb * (1.0 + tick as f64 * 1e-12), BLOCK);
             let t = Instant::now();
             std::hint::black_box(m.retarget().rescored);
-            refresh.push(t.elapsed().as_nanos() as u64);
-            windows.push(w0.elapsed().as_nanos() as u64);
-        }
-        vec![
-            summarize(names[0], windows),
-            summarize(names[1], sparse),
-            summarize(names[2], refresh),
-        ]
-    };
-    run([
-        "algo1/planned_1m_1k",
-        "algo1/planned_1m_sparse_pass",
-        "algo1/planned_1m_refresh_pass",
-    ])
+            t.elapsed().as_nanos() as u64
+        })
+        .collect()
+}
+
+/// One Algorithm 1 pass over 1M pending blocks on a 1k-node fleet.
+fn bench_algo1_1m() -> Snapshot {
+    let mut m = loaded_master_1m(1_000_000, 1_000);
+    summarize("algo1/full_rescan_1m_1k", sample_walks(&mut m, 6))
 }
 
 /// `on_slave_pull` against the 1M-entry store: per-node bind queues keep
@@ -235,54 +173,14 @@ fn bench_pull_bind_1m() -> Snapshot {
 
 fn bench_retarget() -> Snapshot {
     // The paper's §III-D scalability bar: 50 GB pending = 200 blocks.
-    // Pinned to the reference engine: with the production one, every
-    // warm iteration hits the empty-dirty skip and times nothing.
-    let mut m = loaded_master(200, 7, SchedEngine::Reference);
-    summarize(
-        "algo1/retarget_50GB_pending",
-        sample(50, || {
-            m.retarget();
-            std::hint::black_box(m.pending_len());
-        }),
-    )
+    let mut m = loaded_master(200, 7);
+    summarize("algo1/retarget_50GB_pending", sample_walks(&mut m, 50))
 }
 
-/// The 100k-pending scheduler pair: full rescan vs the production pass
-/// with exactly one dirty node per iteration. The acceptance bar is the
-/// production median ≥10× below the full-rescan median.
-fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
-    const PENDING: u64 = 100_000;
-    const NODES: u32 = 100;
-    let full = {
-        let mut m = loaded_master(PENDING, NODES, SchedEngine::Reference);
-        summarize(
-            "algo1/full_rescan_100k",
-            sample(12, || {
-                std::hint::black_box(m.retarget().rescored);
-            }),
-        )
-    };
-    let planned = {
-        let mut m = loaded_master(PENDING, NODES, SchedEngine::Planned);
-        let spb = 1.0 / (140.0 * MB as f64);
-        m.on_heartbeat(NodeId(0), spb, BLOCK);
-        m.retarget(); // warm: first pass scores everything
-        let mut tick = 0u64;
-        summarize(
-            "algo1/planned_100k_1dirty",
-            sample(24, || {
-                // One node's measured cost jitters between heartbeats —
-                // the steady-state shape: only the dirty node's replica
-                // holders (3/NODES of entries) need rescoring, and
-                // winners barely move.
-                tick += 1;
-                let drift = spb * (1.0 + tick as f64 * 1e-12);
-                m.on_heartbeat(NodeId(0), drift, BLOCK);
-                std::hint::black_box(m.retarget().rescored);
-            }),
-        )
-    };
-    (full, planned)
+/// One Algorithm 1 pass over 100k pending blocks on 100 nodes.
+fn bench_full_rescan_100k() -> Snapshot {
+    let mut m = loaded_master(100_000, 100);
+    summarize("algo1/full_rescan_100k", sample_walks(&mut m, 12))
 }
 
 /// `on_slave_pull` against small and huge pending stores: with the
@@ -290,7 +188,7 @@ fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
 fn bench_pull_bind() -> (Snapshot, Snapshot) {
     const NODES: u32 = 40;
     let run = |name: &'static str, pending: u64| -> Snapshot {
-        let mut m = loaded_master(pending, NODES, SchedEngine::Planned);
+        let mut m = loaded_master(pending, NODES);
         m.retarget();
         let mut node = 0u32;
         summarize(
@@ -378,18 +276,18 @@ fn main() {
         .unwrap_or_else(|| "local".into());
     let out_dir = flag("--out").unwrap_or_else(|| ".".into());
 
-    let (full_rescan, planned) = bench_algo1_scaling();
     let (pull_1k, pull_100k) = bench_pull_bind();
-    let mut snapshots = vec![bench_retarget(), full_rescan, planned];
-    snapshots.extend(bench_algo1_1m());
-    snapshots.extend([
+    let snapshots = [
+        bench_retarget(),
+        bench_full_rescan_100k(),
+        bench_algo1_1m(),
         pull_1k,
         pull_100k,
         bench_pull_bind_1m(),
         bench_end_to_end(),
         bench_codec(),
         bench_loopback(),
-    ]);
+    ];
 
     // One bench object per line, keys in a fixed order: `bench-gate`
     // scans this layout line by line.

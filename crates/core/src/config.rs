@@ -43,32 +43,6 @@ pub struct DyrsConfig {
     /// Gray-failure detector: heartbeat deadlines, bounded retry, and
     /// per-node quarantine.
     pub failure_detector: FailureDetectorConfig,
-    /// Pending-migration scheduler: which Algorithm 1 engine runs.
-    pub scheduler: SchedulerConfig,
-}
-
-/// Which Algorithm 1 implementation the master's scheduler runs. Both are
-/// decision-identical (asserted by the `sched_equivalence` proptests);
-/// the reference pass exists for differential testing and as the
-/// executable form of the paper's pseudocode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedEngine {
-    /// The production pass: only entries whose candidate set or node
-    /// trajectories changed since the last pass are rescored, walked as a
-    /// sorted visit plan. A pass that would visit more than
-    /// [`crate::sched::CASCADE_CEILING`] of the queue runs the full walk
-    /// instead.
-    #[default]
-    Planned,
-    /// The paper's full rescan: every pending entry rescored every pass.
-    Reference,
-}
-
-/// Scheduler engine selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerConfig {
-    /// Which retarget engine runs.
-    pub engine: SchedEngine,
 }
 
 /// Master-side gray-failure detector knobs.
@@ -143,7 +117,6 @@ impl Default for DyrsConfig {
             max_concurrent_migrations: 1,
             in_progress_refresh: true,
             failure_detector: FailureDetectorConfig::default(),
-            scheduler: SchedulerConfig::default(),
         }
     }
 }
@@ -194,17 +167,6 @@ mod tests {
     fn queue_depth_zero_block_is_minimal() {
         let c = DyrsConfig::default();
         assert_eq!(c.queue_depth(0, 1e8), 1 + c.queue_slack);
-    }
-
-    #[test]
-    fn scheduler_defaults_to_the_planned_engine() {
-        assert_eq!(
-            DyrsConfig::default().scheduler,
-            SchedulerConfig {
-                engine: SchedEngine::Planned
-            },
-            "the production pass ships by default; Reference is the oracle"
-        );
     }
 
     #[test]

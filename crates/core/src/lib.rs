@@ -42,7 +42,7 @@ pub mod sched;
 pub mod slave;
 pub mod types;
 
-pub use config::{DyrsConfig, FailureDetectorConfig, SchedEngine, SchedulerConfig};
+pub use config::{DyrsConfig, FailureDetectorConfig};
 pub use dyrs_obs as obs;
 pub use dyrs_obs::ObsHandle;
 pub use dyrs_tiers as tiers;

@@ -14,7 +14,7 @@
 //! All state is soft (§III-C): [`Master::restart`] drops everything and
 //! the system degrades to plain HDFS until slaves repopulate it.
 
-use crate::config::{FailureDetectorConfig, SchedulerConfig};
+use crate::config::FailureDetectorConfig;
 use crate::policy::{MigrationOrder, MigrationPolicy};
 use crate::sched::{RetargetStats, Scheduler};
 use crate::types::{BoundMigration, EvictionMode, JobRef, Migration, MigrationId};
@@ -522,12 +522,6 @@ impl Master {
         self.health_due = SimTime::ZERO;
         // Toggling the detector changes every node's candidacy rule.
         self.sync_all_nodes();
-    }
-
-    /// Select the scheduler engine (default: the production plan walk;
-    /// `Reference` runs the paper's full rescan every pass).
-    pub fn set_sched_config(&mut self, cfg: SchedulerConfig) {
-        self.sched.set_config(cfg);
     }
 
     /// Push the master's live view of `node` — cost estimate, queued
@@ -1115,13 +1109,13 @@ impl Master {
     /// own `spb[n] × bytes` evaluated per candidate, which reduces to the
     /// paper's formula when all blocks are the same size.
     ///
-    /// The heavy lifting lives in [`crate::sched`]: the production pass
-    /// rescores only entries whose candidate set changed since the last
-    /// pass (or runs the full walk once that set is dense), with the
-    /// full-rescan reference engine selectable via
-    /// [`crate::config::SchedulerConfig`]. Both produce bit-identical
-    /// decisions; `bench/algo1_*` validates the §III-D scalability claim
-    /// (50 GB of pending migrations retargeted in under a millisecond).
+    /// The heavy lifting lives in [`crate::sched`]: the pass walks the
+    /// whole queue, unless nothing it reads (a node's snapshot, the
+    /// admitted entries, the targeted entries) changed since the last
+    /// walk, in which case every target stands and the walk is skipped.
+    /// bench-snapshot's `algo1/*` benches time the walk against the
+    /// §III-D scalability claim (50 GB of pending migrations retargeted in
+    /// under a millisecond).
     ///
     /// Returns how many pending entries the pass rescored vs skipped.
     pub fn retarget(&mut self) -> RetargetStats {
@@ -2776,6 +2770,226 @@ mod tests {
                 simkit::audit::Audit::audit(&gated, &mut audit);
                 prop_assert!(audit.is_clean(), "op {} ({}): {:?}", k, op, audit.violations());
             }
+        }
+    }
+
+    const BW: f64 = 140.0 * MB as f64;
+
+    /// A Dyrs master over `nodes` slaves for the clean-pass-skip
+    /// proptests, recording into `obs`.
+    fn skip_master(nodes: u32, order: MigrationOrder, detector: bool, obs: &ObsHandle) -> Master {
+        let mut m = Master::new(MigrationPolicy::Dyrs, nodes as usize, BW, Rng::new(7));
+        m.set_order(order);
+        m.attach_obs(obs.clone());
+        if detector {
+            m.configure_detector(FailureDetectorConfig::default());
+        }
+        for i in 0..nodes {
+            m.on_heartbeat_at(n(i), 1.0 / BW, 0, SimTime::ZERO);
+        }
+        m
+    }
+
+    /// The provenance recorded since the last call, one record per line.
+    fn provenance(obs: &ObsHandle) -> Vec<String> {
+        let report = obs.take_report();
+        report.provenance.iter().map(|r| format!("{r:?}")).collect()
+    }
+
+    /// One pass on each master of the pair, `walk` forced to walk. The
+    /// forced pass walks every entry; the other walks too, recording the
+    /// same provenance, or skips every entry and records none.
+    fn pass_pair(
+        skip: &mut Master,
+        walk: &mut Master,
+        obs: &[ObsHandle; 2],
+    ) -> Result<RetargetStats, TestCaseError> {
+        let a = skip.retarget();
+        walk.sched.mark_dirty();
+        let b = walk.retarget();
+        let depth = walk.pending_len() as u64;
+        prop_assert_eq!((b.rescored, b.skipped, b.ceiling_hits), (depth, 0, 0));
+        let skipped = RetargetStats {
+            rescored: 0,
+            skipped: depth,
+            ceiling_hits: 0,
+        };
+        prop_assert!(a == b || a == skipped, "a pass walks or skips: {a:?}");
+        let (batch, walked) = (provenance(&obs[0]), provenance(&obs[1]));
+        if a.rescored > 0 {
+            prop_assert_eq!(batch, walked, "a walk's provenance");
+        } else {
+            prop_assert!(batch.is_empty(), "a skipped pass records nothing");
+        }
+        Ok(a)
+    }
+
+    /// What the pair must agree on after every op: depth, bytes, every
+    /// pending block's target, and a clean audit on both sides.
+    fn agree(a: &Master, b: &Master, k: usize) -> Result<(), TestCaseError> {
+        let view = |m: &Master| {
+            let targets: Vec<_> = m.pending_block_ids().map(|x| (x, m.target_of(x))).collect();
+            (m.pending_len(), m.pending_bytes(), targets)
+        };
+        prop_assert_eq!(view(a), view(b), "op {}: pending state", k);
+        for m in [a, b] {
+            let mut audit = simkit::audit::AuditReport::new();
+            simkit::audit::Audit::audit(m, &mut audit);
+            prop_assert!(audit.is_clean(), "op {}: {:?}", k, audit.violations());
+        }
+        Ok(())
+    }
+
+    /// One op of the clean-pass-skip schedule other than a pass; returns
+    /// what `m` answered, for the pair to compare. Op `k` admits blocks
+    /// `8k..` for job `k`; read-cancels and evictions may name ids already
+    /// gone or never admitted.
+    fn skip_step(m: &mut Master, op: u8, k: u64, node: NodeId, x: u64, now: SimTime) -> String {
+        let nodes = m.nodes.len() as u32;
+        match op {
+            // Admit 1–3 blocks (1–6 on a wide cluster), two replicas each,
+            // with sizes and a hint that exercise the SJF and EDF keys.
+            0 => {
+                let count = 1 + x % if nodes > 6 { 6 } else { 3 };
+                let reqs = (0..count)
+                    .map(|i| {
+                        let r0 = (node.0 + i as u32) % nodes;
+                        BlockRequest {
+                            block: b(8 * k + i),
+                            bytes: (1 + (x + i) % 8) * 64 * MB,
+                            replicas: vec![n(r0), n((r0 + 1 + x as u32 % 2) % nodes)],
+                        }
+                    })
+                    .collect();
+                let hint = JobHint {
+                    expected_launch: now + simkit::SimDuration::from_secs(x % 30),
+                    total_bytes: (1 + x % 10) * 256 * MB,
+                };
+                let out = m.request_migration_hinted(j(k), reqs, EvictionMode::Implicit, hint);
+                format!("{out:?}")
+            }
+            2 => format!("{:?}", m.on_slave_pull(node, 1 + x as usize % 4)),
+            3 => {
+                let bound = bound_pairs(m);
+                if let Some(&(on, block)) = bound.get(x as usize % bound.len().max(1)) {
+                    m.on_migration_complete(on, block);
+                }
+                String::new()
+            }
+            4 => format!("{}", m.on_block_read(b(8 * (x % (k + 1)) + x % 6))),
+            5 => format!("{:?}", m.evict_job(j(x % (k + 1)))),
+            // Cost and backlog drift through a heartbeat.
+            6 => {
+                let spb = (1.0 + (x % 16) as f64) / BW;
+                m.on_heartbeat_at(node, spb, (x % 5) * 128 * MB, now);
+                String::new()
+            }
+            7 => {
+                m.set_node_up(node, x % 2 == 0);
+                let report = m.check_health(now);
+                apply_report(m, &report, x);
+                format!("{report:?}")
+            }
+            _ => {
+                m.restart();
+                String::new()
+            }
+        }
+    }
+
+    /// The 20-node generator's op mix in `skip_step`'s codes (1 is a
+    /// pass): more admissions and passes, so queues grow deep, and no
+    /// read-cancels, flaps or restarts.
+    const WIDE_OPS: [u8; 8] = [0, 0, 1, 1, 2, 3, 6, 5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The clean-pass skip never changes a decision. Two masters take
+        /// the same random admissions, passes, pulls, completions,
+        /// read-cancels, evictions, load drift, flaps and restarts; one
+        /// ships as is, the other is forced to walk on every pass. After
+        /// every op they agree on every target, pull result (bind order
+        /// included), depth and bytes, and both audit clean; a pass the
+        /// shipped master walks records the provenance of the forced
+        /// walk. Two generators: 6 nodes with every op (and the detector
+        /// on or off), and 20 nodes with `WIDE_OPS`.
+        #[test]
+        fn clean_pass_skips_match_full_walks(
+            wide in prop::bool::ANY,
+            order in 0u8..3,
+            detector in prop::bool::ANY,
+            ops in proptest::collection::vec((0u8..9, 0u32..20, 0u64..64, 1u64..40), 1..120),
+        ) {
+            let (nodes, detector) = if wide { (20, false) } else { (6, detector) };
+            let order = [
+                MigrationOrder::Fifo,
+                MigrationOrder::SmallestJobFirst,
+                MigrationOrder::EarliestDeadlineFirst,
+            ][order as usize];
+            let obs = [ObsHandle::new(), ObsHandle::new()];
+            let mut skip = skip_master(nodes, order, detector, &obs[0]);
+            let mut walk = skip_master(nodes, order, detector, &obs[1]);
+            let mut now = SimTime::ZERO;
+            for (k, &(op, node, x, dt)) in ops.iter().enumerate() {
+                now += simkit::SimDuration::from_secs(dt);
+                let op = if wide { WIDE_OPS[op as usize % 8] } else { op };
+                let node = n(node % nodes);
+                if op == 1 {
+                    pass_pair(&mut skip, &mut walk, &obs)?;
+                } else {
+                    let a = skip_step(&mut skip, op, k as u64, node, x, now);
+                    let b = skip_step(&mut walk, op, k as u64, node, x, now);
+                    prop_assert_eq!(a, b, "op {} ({})", k, op);
+                }
+                agree(&skip, &walk, k)?;
+            }
+            // Drain: pass and pull everything bindable, comparing the
+            // whole bind order.
+            for round in 0..64 {
+                pass_pair(&mut skip, &mut walk, &obs)?;
+                let mut any = false;
+                for i in 0..nodes {
+                    let a = skip.on_slave_pull(n(i), 8);
+                    prop_assert_eq!(&a, &walk.on_slave_pull(n(i), 8), "drain {} node {}", round, i);
+                    any |= !a.is_empty();
+                }
+                agree(&skip, &walk, usize::MAX)?;
+                if !any {
+                    break;
+                }
+            }
+        }
+
+        /// Steady state: a pass with nothing changed skips every entry,
+        /// and one node's drift walks them all.
+        #[test]
+        fn steady_state_skips_and_drift_walks(
+            spbs in proptest::collection::vec(1.0f64..20.0, 6),
+            blocks in 1u64..40,
+        ) {
+            let obs = [ObsHandle::new(), ObsHandle::new()];
+            let mut skip = skip_master(6, MigrationOrder::Fifo, false, &obs[0]);
+            let mut walk = skip_master(6, MigrationOrder::Fifo, false, &obs[1]);
+            for m in [&mut skip, &mut walk] {
+                for (i, s) in (0..).zip(&spbs) {
+                    m.on_heartbeat_at(n(i), s / BW, 0, SimTime::ZERO);
+                }
+                for i in 0..blocks {
+                    let holders = [i as u32 % 6, (i as u32 + 1) % 6];
+                    m.request_migration(j(i), vec![req(i, &holders)], EvictionMode::Implicit);
+                }
+            }
+            let first = pass_pair(&mut skip, &mut walk, &obs)?;
+            prop_assert_eq!((first.rescored, first.skipped), (blocks, 0), "the first pass walks");
+            let steady = pass_pair(&mut skip, &mut walk, &obs)?;
+            prop_assert_eq!((steady.rescored, steady.skipped), (0, blocks), "a clean pass skips");
+            for m in [&mut skip, &mut walk] {
+                m.on_heartbeat_at(n(0), 30.0 / BW, 64 * MB, SimTime::from_secs(1));
+            }
+            let drift = pass_pair(&mut skip, &mut walk, &obs)?;
+            prop_assert_eq!((drift.rescored, drift.skipped), (blocks, 0), "a drift walks");
+            agree(&skip, &walk, 0)?;
         }
     }
 }

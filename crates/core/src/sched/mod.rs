@@ -2,9 +2,9 @@
 //!
 //! The paper's master keeps "a list of pending migrations" and rescans it
 //! wholesale: every Algorithm 1 pass rescores every entry, and every
-//! slave pull walks the whole list. That is fine for the paper's 50 GB
-//! bar but it is the hottest path in the system, so this module replaces
-//! the flat list with an indexed store:
+//! slave pull walks the whole list. The rescan stays (see `engine.rs`),
+//! but the pull is the hottest path in the system, so this module
+//! replaces the flat list with an indexed store:
 //!
 //! * a **slab** of entries with LIFO slot reuse, and a block → slot
 //!   [`BTreeMap`];
@@ -12,18 +12,12 @@
 //!   [`MigrationOrder`] encoded as an `OrderKey` (so the BTree *is* the
 //!   sort);
 //! * per-node **bind queues** (`targeted`, and `replica_idx` for the
-//!   untargeted Naive policy), which double as the dirty-node walk sets;
-//! * the dirty-node and dirty-entry sets the Algorithm 1 pass starts from.
+//!   untargeted Naive policy);
+//! * one `dirty` flag: whether anything a pass reads changed since the
+//!   last one, so a pass with nothing to do skips the walk.
 //!
-//! The production pass ([`SchedEngine::Planned`], see `engine.rs`) scores
-//! from per-node snapshots and the dirty sets. The paper's full rescan is
-//! kept behind [`SchedEngine::Reference`] as the test oracle, and it is
-//! also the production pass's fallback once a pass turns dense
-//! ([`CASCADE_CEILING`]).
-//!
-//! Everything is deterministic: slots are reused LIFO, all indexes are
-//! BTree-ordered, and the production pass is bit-identical to the
-//! reference pass (asserted by `crates/core/tests/sched_equivalence.rs`).
+//! Everything is deterministic: slots are reused LIFO and all indexes are
+//! BTree-ordered.
 //!
 //! The raw entry slab (`raw_pending`) must not be touched outside this
 //! module — `dyrs-verify`'s `pending-fence` lint enforces that the rest
@@ -31,7 +25,6 @@
 
 mod engine;
 
-use crate::config::{SchedEngine, SchedulerConfig};
 use crate::master::JobHint;
 use crate::policy::MigrationOrder;
 use crate::types::{JobRef, Migration, MigrationId};
@@ -39,14 +32,6 @@ use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The density ceiling of the production pass: once a pass would visit
-/// more than this fraction of the pending queue, it runs the sequential
-/// full walk instead of the sorted visit plan. Decisions are identical
-/// either way; only the cost differs. At a quarter of the queue the plan
-/// build (sort + dedup of the dirty indexes) and the scattered slab reads
-/// already cost more than rescoring everything in admission order.
-pub const CASCADE_CEILING: f64 = 0.25;
 
 /// Position of an entry in the admission order, independent of the
 /// discipline: the BTree indexes sort by `(OrderKey, slot)` and binding /
@@ -79,7 +64,7 @@ impl OrderKey {
 /// mints unique seqs) the slot half never decides.
 type Pos = (OrderKey, usize);
 
-/// One pending migration plus the scheduler's cached scoring state.
+/// One pending migration and its current target.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
     /// The migration being scheduled.
@@ -92,29 +77,19 @@ pub(crate) struct Entry {
     pub(crate) hint: JobHint,
     /// Retry backoff: the entry may not bind before this instant.
     pub(crate) not_before: SimTime,
-    /// Cached per-replica finish-time scores from the last pass that
-    /// visited this entry, aligned with `migration.replicas` (∞ for
-    /// non-candidates). Valid only while `cache_valid`.
-    scores: Vec<f64>,
-    /// The winner's cached score (∞ when untargeted); this is the node's
-    /// finish-time trajectory *at this queue position*, which is what the
-    /// plan walk reads back via the `targeted` index.
-    winner_score: f64,
-    /// False until the first pass scores the entry (new admissions).
-    cache_valid: bool,
 }
 
-/// What one retarget pass did — how many pending entries it rescored and
-/// how many it proved untouched and skipped. A full reference pass always
-/// reports `skipped == 0`.
+/// What one retarget pass did. A pass either walks the whole queue
+/// (`rescored` = pending depth, `skipped` = 0) or, when nothing changed
+/// since the last walk, skips it (`rescored` = 0, `skipped` = depth).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetargetStats {
     /// Entries whose candidate scores were recomputed this pass.
     pub rescored: u64,
     /// Entries left untouched (their decision provably cannot change).
     pub skipped: u64,
-    /// 1 if the production pass crossed [`CASCADE_CEILING`] and ran (or
-    /// finished with) the full walk; decisions are unaffected.
+    /// Always 0: there is no density ceiling any more. Kept only because
+    /// the repository benchmark reads it.
     pub ceiling_hits: u64,
 }
 
@@ -132,26 +107,27 @@ pub(crate) struct Scheduler {
     queue: BTreeSet<Pos>,
     /// Per-node bind queues (entries targeted at the node).
     targeted: Vec<BTreeSet<Pos>>,
-    /// Per-node replica membership (Naive-policy bind queue and the
-    /// dirty-node walk set).
+    /// Per-node replica membership (the Naive policy's bind queue).
     replica_idx: Vec<BTreeSet<Pos>>,
     /// Running total of pending bytes.
     pending_bytes: u64,
-    /// Entries admitted (or re-admitted) since the last pass.
-    dirty_entries: BTreeSet<Pos>,
     /// Active admission discipline.
     order: MigrationOrder,
-    /// Engine selection.
-    cfg: SchedulerConfig,
-    /// Per-node scoring snapshot: seconds-per-byte estimate. Both passes
-    /// score exclusively from the snapshot, so they see identical inputs.
+    /// Per-node scoring snapshot: seconds-per-byte estimate. The pass
+    /// scores exclusively from the snapshot.
     snap_spb: Vec<f64>,
     /// Per-node scoring snapshot: queued bytes.
     snap_queued: Vec<f64>,
     /// Per-node scoring snapshot: Algorithm 1 candidacy (up && targetable).
     snap_candidate: Vec<bool>,
-    /// Nodes whose snapshot changed since the last pass.
-    dirty_nodes: BTreeSet<usize>,
+    /// Whether a walk could decide differently from the last one: set by
+    /// a changed node snapshot, an admission, and the removal of a
+    /// targeted entry; cleared by a walk.
+    dirty: bool,
+    /// The scores of the entry the walk is on, by replica rank (∞ for a
+    /// non-candidate), in its first `replicas.len()` slots; kept between
+    /// passes, as long as the longest replica list seen.
+    scores: Vec<f64>,
     /// Per node, the bind-queue moves a full walk defers to the end of
     /// its pass; empty between passes (kept for their capacity).
     settle: Vec<engine::QueueMoves>,
@@ -169,13 +145,12 @@ impl Scheduler {
             targeted: vec![BTreeSet::new(); num_nodes],
             replica_idx: vec![BTreeSet::new(); num_nodes],
             pending_bytes: 0,
-            dirty_entries: BTreeSet::new(),
             order: MigrationOrder::Fifo,
-            cfg: SchedulerConfig::default(),
             snap_spb: vec![default_spb; num_nodes],
             snap_queued: vec![0.0; num_nodes],
             snap_candidate: vec![true; num_nodes],
-            dirty_nodes: BTreeSet::new(),
+            dirty: false,
+            scores: Vec::new(),
             settle: vec![engine::QueueMoves::default(); num_nodes],
         }
     }
@@ -183,12 +158,6 @@ impl Scheduler {
     // ------------------------------------------------------------------
     // configuration
     // ------------------------------------------------------------------
-
-    /// Select the retarget engine. Both engines keep the same indexes and
-    /// cached scores, so switching mid-run is safe.
-    pub(crate) fn set_config(&mut self, cfg: SchedulerConfig) {
-        self.cfg = cfg;
-    }
 
     /// Select the admission discipline. Must be called before entries are
     /// admitted (the master configures order at startup, like the old
@@ -207,16 +176,16 @@ impl Scheduler {
     }
 
     // ------------------------------------------------------------------
-    // node snapshot — the engines' only scoring input
+    // node snapshot — the pass's only scoring input
     // ------------------------------------------------------------------
 
     /// Update a node's scoring snapshot from the master's heartbeat view.
-    /// The snapshot is an exact mirror: any change dirties the node.
+    /// The snapshot is an exact mirror: any change dirties the scheduler.
     pub(crate) fn set_node_load(&mut self, node: usize, spb: f64, queued_bytes: f64) {
         if self.snap_spb[node] != spb || self.snap_queued[node] != queued_bytes {
             self.snap_spb[node] = spb;
             self.snap_queued[node] = queued_bytes;
-            self.dirty_nodes.insert(node);
+            self.dirty = true;
         }
     }
 
@@ -224,7 +193,7 @@ impl Scheduler {
     pub(crate) fn set_node_candidacy(&mut self, node: usize, candidate: bool) {
         if self.snap_candidate[node] != candidate {
             self.snap_candidate[node] = candidate;
-            self.dirty_nodes.insert(node);
+            self.dirty = true;
         }
     }
 
@@ -242,8 +211,9 @@ impl Scheduler {
     // admission / removal
     // ------------------------------------------------------------------
 
-    /// Admit a migration, dirty and untargeted. The caller guarantees the
-    /// block is not already pending (checked by `contains_block`).
+    /// Admit a migration, untargeted; the next pass walks. The caller
+    /// guarantees the block is not already pending (checked by
+    /// `contains_block`).
     pub(crate) fn insert(
         &mut self,
         migration: Migration,
@@ -253,16 +223,12 @@ impl Scheduler {
     ) {
         debug_assert!(!self.contains_block(migration.block));
         let key = OrderKey::new(self.order, &hint, seq);
-        let replicas = migration.replicas.len();
         let entry = Entry {
             migration,
             target: None,
             seq,
             hint,
             not_before,
-            scores: vec![f64::INFINITY; replicas],
-            winner_score: f64::INFINITY,
-            cache_valid: false,
         };
         self.pending_bytes += entry.migration.bytes;
         let idx = match self.free.pop() {
@@ -278,7 +244,7 @@ impl Scheduler {
         for &r in &entry.migration.replicas {
             self.replica_idx[r.index()].insert((key, idx));
         }
-        self.dirty_entries.insert((key, idx));
+        self.dirty = true;
         self.raw_pending[idx] = Some(entry);
     }
 
@@ -324,16 +290,16 @@ impl Scheduler {
         let entry = self.raw_pending[idx].take().expect("removing a live entry");
         let pos = (OrderKey::new(self.order, &entry.hint, entry.seq), idx);
         self.queue.remove(&pos);
-        self.dirty_entries.remove(&pos);
         self.by_block.remove(&entry.migration.block);
         for &r in &entry.migration.replicas {
             self.replica_idx[r.index()].remove(&pos);
         }
         if let Some(t) = entry.target {
             self.targeted[t.index()].remove(&pos);
-            // The node's downstream finish-time trajectory shrinks; every
-            // entry scored after this position must be revisited.
-            self.dirty_nodes.insert(t.index());
+            // The node's finish-time trajectory shrinks for every later
+            // entry. An untargeted entry charged no node, so its removal
+            // changes no other decision.
+            self.dirty = true;
         }
         self.pending_bytes -= entry.migration.bytes;
         self.free.push(idx);
@@ -341,7 +307,7 @@ impl Scheduler {
     }
 
     /// Drop all pending state (master restart). Snapshots return to the
-    /// prior; nothing is left to rescore.
+    /// prior; nothing is left to walk.
     pub(crate) fn reset(&mut self, default_spb: f64) {
         self.raw_pending.clear();
         self.free.clear();
@@ -354,7 +320,6 @@ impl Scheduler {
             r.clear();
         }
         self.pending_bytes = 0;
-        self.dirty_entries.clear();
         for s in &mut self.snap_spb {
             *s = default_spb;
         }
@@ -366,7 +331,7 @@ impl Scheduler {
         for c in &mut self.snap_candidate {
             *c = true;
         }
-        self.dirty_nodes.clear();
+        self.dirty = false;
     }
 
     // ------------------------------------------------------------------
@@ -455,8 +420,8 @@ impl Scheduler {
     // audit
     // ------------------------------------------------------------------
 
-    /// Index invariants: every index agrees with the slab, bytes and free
-    /// slots balance, and dirty entries reference live slots.
+    /// Index invariants: every index agrees with the slab, and bytes and
+    /// free slots balance.
     pub(crate) fn audit(&self, report: &mut simkit::audit::AuditReport) {
         let c = "sched";
         let live = self.raw_pending.iter().flatten().count();
@@ -514,22 +479,14 @@ impl Scheduler {
                     || format!("{} missing from replica index of {r}", e.migration.block),
                 );
             }
-            match e.target {
-                Some(t) => {
-                    targeted_live += 1;
-                    report.check(
-                        self.targeted[t.index()].contains(&(key, idx)),
-                        c,
-                        "targeted entries sit in their node's bind queue",
-                        || format!("{} targeted at {t} but not in its queue", e.migration.block),
-                    );
-                }
-                None => report.check(
-                    !e.cache_valid || e.winner_score.is_infinite(),
+            if let Some(t) = e.target {
+                targeted_live += 1;
+                report.check(
+                    self.targeted[t.index()].contains(&(key, idx)),
                     c,
-                    "untargeted entries carry no finite winner score",
-                    || format!("{} untargeted with a winner score", e.migration.block),
-                ),
+                    "targeted entries sit in their node's bind queue",
+                    || format!("{} targeted at {t} but not in its queue", e.migration.block),
+                );
             }
         }
         report.check(
@@ -545,14 +502,13 @@ impl Scheduler {
             "bind queues hold exactly the targeted entries",
             || format!("{targeted_total} bind-queue entries for {targeted_live} targeted"),
         );
-        for d in &self.dirty_entries {
-            report.check(
-                self.queue.contains(d),
-                c,
-                "dirty entries reference queued work",
-                || format!("stale dirty entry at slot {}", d.1),
-            );
-        }
+    }
+
+    /// Make the next pass walk even if nothing changed, as if every
+    /// input had.
+    #[cfg(test)]
+    pub(crate) fn mark_dirty(&mut self) {
+        self.dirty = true;
     }
 }
 
@@ -684,9 +640,6 @@ mod tests {
         // each bind queue holding exactly the entries targeted at its
         // node.
         let mut s = Scheduler::new(3, 1.0);
-        s.set_config(SchedulerConfig {
-            engine: SchedEngine::Reference,
-        });
         for i in 0..1200u64 {
             let replicas: &[u32] = match i {
                 0..600 => &[0],

@@ -343,25 +343,12 @@ impl ObsHandle {
         }
     }
 
-    /// Drop the records staged since the last pass: a plan walk that hands
-    /// over to the full walk mid-pass leaves its partial batch here.
-    pub fn provenance_discard(&self) {
-        if let Some(inner) = &self.0 {
-            let inner = &mut *inner.borrow_mut();
-            let wins = &mut inner.wins;
-            inner
-                .report
-                .provenance
-                .discard_staged(|w| wins[w as usize] -= 1);
-        }
-    }
-
     /// Close one Algorithm 1 retarget pass: the records staged since the
     /// last pass become this pass's batch. The recorder assigns the
     /// monotone pass index, timestamps, and the pass-level rescored /
-    /// skipped counts. The batch covers the rescored entries only — the
-    /// scheduler's plan walk proves skipped entries unchanged, so their
-    /// previous records remain authoritative.
+    /// skipped counts. The batch covers the rescored entries only: a pass
+    /// that skipped its walk records nothing, and each entry's previous
+    /// record remains authoritative.
     pub fn retarget_pass(&self, rescored: u64, skipped: u64) {
         if let Some(inner) = &self.0 {
             let inner = &mut *inner.borrow_mut();

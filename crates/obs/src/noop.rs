@@ -102,10 +102,6 @@ impl ObsHandle {
 
     /// No-op.
     #[inline]
-    pub fn provenance_discard(&self) {}
-
-    /// No-op.
-    #[inline]
     pub fn retarget_pass(&self, _rescored: u64, _skipped: u64) {}
 
     /// No-op.

@@ -93,30 +93,6 @@ impl<T: Copy> Pages<T> {
         last.extend_from_slice(items);
         at
     }
-
-    /// Where the next [`push_slice`](Self::push_slice) would start, if it
-    /// fits on the last page.
-    pub(crate) fn end(&self) -> Loc {
-        let page = self.0.len().saturating_sub(1);
-        let len = self.0.last().map_or(0, Vec::len);
-        (page as u32, len as u32)
-    }
-
-    /// Keep the first `len` items of an item-by-item column.
-    pub(crate) fn truncate(&mut self, len: usize) {
-        self.0.truncate(len.div_ceil(PAGE));
-        if let Some(last) = self.0.last_mut() {
-            last.truncate(len - (len.div_ceil(PAGE) - 1) * PAGE);
-        }
-    }
-
-    /// Drop everything from `at` on in a slice-by-slice column.
-    pub(crate) fn truncate_at(&mut self, at: Loc) {
-        self.0.truncate(at.0 as usize + 1);
-        if let Some(last) = self.0.get_mut(at.0 as usize) {
-            last.truncate(at.1 as usize);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,18 +100,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn item_columns_index_across_pages_and_truncate() {
+    fn item_columns_index_across_pages() {
         let mut col = Pages::default();
         for i in 0..3 * PAGE + 5 {
             col.push(i);
         }
         assert_eq!(col.len(), 3 * PAGE + 5);
         assert_eq!(col.get(2 * PAGE + 1), Some(&(2 * PAGE + 1)));
-        for keep in [3 * PAGE + 1, 3 * PAGE, 2 * PAGE - 1, 0] {
-            col.truncate(keep);
-            assert_eq!(col.len(), keep);
-            assert!(col.iter().copied().eq(0..keep));
-        }
+        assert!(col.iter().copied().eq(0..3 * PAGE + 5));
     }
 
     #[test]
@@ -159,13 +131,7 @@ mod tests {
             assert_eq!(cursor, (loc.0, loc.1 + items.len() as u32));
         }
         assert_eq!(col.next_slice(&mut cursor, big.len()), &big[..]);
-        assert_eq!(cursor, col.end());
+        assert_eq!(cursor, (big_at.0, big.len() as u32));
         assert!(at.last().is_some_and(|(loc, _)| loc.0 > 0), "several pages");
-        // Dropping a tail and refilling it reuses the freed room.
-        let loc = at[100].0;
-        col.truncate_at(loc);
-        assert_eq!(col.push_slice(&[9, 9]), loc);
-        assert_eq!(col.slice(loc, 2), &[9, 9]);
-        assert_eq!(col.slice(at[99].0, at[99].1.len()), &at[99].1[..]);
     }
 }

@@ -196,9 +196,7 @@ impl SpanLog {
 /// ([`ObsHandle::provenance_push`](crate::ObsHandle::provenance_push)).
 /// They stay *staged* — invisible to [`len`](Self::len), iteration and the
 /// exports — until [`ObsHandle::retarget_pass`](crate::ObsHandle::retarget_pass)
-/// stamps them as one pass, or
-/// [`ObsHandle::provenance_discard`](crate::ObsHandle::provenance_discard)
-/// drops them.
+/// stamps them as one pass.
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
     passes: Vec<PassHeader>,
@@ -215,9 +213,6 @@ pub struct ProvenanceLog {
     latest: IdPages<Option<u32>>,
     /// Rows from this index on are staged for the pass in progress.
     staged: usize,
-    /// Where the staged rows' scores start.
-    #[cfg(any(feature = "enabled", test))]
-    staged_scores: Loc,
 }
 
 /// What every record of one pass shares.
@@ -400,18 +395,7 @@ impl ProvenanceLog {
                 first: self.staged,
             });
             self.staged = end;
-            self.staged_scores = self.scores.end();
         }
-    }
-
-    /// Drop the staged records, handing each one's winner to `unwin`.
-    /// Constants they wrote stay: they are facts about the migration, not
-    /// decisions of the pass.
-    pub(crate) fn discard_staged(&mut self, unwin: impl FnMut(u32)) {
-        let staged = (self.staged..).map_while(|i| self.rows.get(i));
-        staged.filter_map(|r| r.winner()).for_each(unwin);
-        self.scores.truncate_at(self.staged_scores);
-        self.rows.truncate(self.staged);
     }
 }
 
@@ -497,9 +481,8 @@ mod tests {
     #[test]
     fn provenance_log_pages_keep_records_whole() {
         // Records with 0–3 replicas (some not candidates), several pages
-        // of rows and scores, passes that end mid-page, and a discarded
-        // batch that straddles a page boundary: iteration must give back
-        // exactly the stamped records.
+        // of rows and scores, and passes that end mid-page: iteration must
+        // give back exactly the stamped records.
         let mut log = ProvenanceLog::default();
         let mut want: Vec<ProvenanceRecord> = Vec::new();
         let mut staged: Vec<ProvenanceRecord> = Vec::new();
@@ -544,15 +527,6 @@ mod tests {
             let first = want.len() as u64;
             for i in first..first + batch {
                 stage(&mut log, i, &mut staged);
-            }
-            if pass == 2 {
-                // An abandoned walk: its rows cross a page boundary.
-                assert!(want.len() % PAGE + staged.len() > PAGE);
-                log.discard_staged(|_| {});
-                staged.clear();
-                for i in first..first + 10 {
-                    stage(&mut log, i, &mut staged);
-                }
             }
             let (at, rescored) = (SimTime::from_secs(pass), staged.len() as u64);
             log.stamp(at, pass, rescored, 1);

@@ -194,8 +194,8 @@ pub struct ProvenanceRecord {
     /// How many pending entries the pass containing this record rescored
     /// (stamped by the recorder, identical across one pass's records).
     pub rescored: u64,
-    /// How many pending entries the pass skipped as provably unchanged
-    /// (always 0 for the reference full-rescan engine).
+    /// How many pending entries the pass skipped as provably unchanged:
+    /// always 0, since a pass that skips records nothing.
     pub skipped: u64,
 }
 

@@ -10,8 +10,8 @@
 //! `cause` catalog, and a catalog cause's text at another address.
 //! Provenance pushes carry 0–5 replicas with non-finite scores, a
 //! migration's replica list can change between pushes, and some passes
-//! stage thousands of records, so discards straddle pages. A
-//! `take_report` can land mid-stream.
+//! stage thousands of records, over page boundaries. A `take_report` can
+//! land mid-stream.
 //!
 //! What the recorder gives back must match the model: `spans_jsonl()` and
 //! `provenance_jsonl()` byte for byte against the model's JSONL, and
@@ -377,35 +377,27 @@ proptest! {
                     };
                     model.event(now, id, state, node, why, None);
                 }
-                // One retarget pass: stage records, maybe discard them
-                // (a plan walk handing over mid-pass), stage the batch
-                // that stands, stamp. One pass in 13 stages thousands.
+                // One retarget pass: stage a batch, stamp it. One pass in
+                // 13 stages thousands of records, over page boundaries.
                 7 => {
-                    let stage = |h: &ObsHandle, seed: u64, want: &mut Vec<ProvenanceRecord>| {
-                        let count = if seed % 13 == 0 { 1500 + seed % 4000 } else { seed % 4 };
-                        for k in 0..count {
-                            let mig = IDS[((seed >> (k % 16)) as usize + k as usize) % IDS.len()];
-                            let variant = match (seed >> (k % 13)) % 8 {
-                                v @ (1 | 2) => v,
-                                _ => 0,
-                            };
-                            let push = push_for(mig, variant, seed.wrapping_add(k));
-                            let winner = match (seed + k) % 4 {
-                                0 => None,
-                                1 => Some(9),
-                                _ => push.2.first().map(|n| n.0),
-                            };
-                            want.push(record_of(mig, &push, winner));
-                            let (block, bytes, replicas, scores) = push;
-                            h.provenance_push(mig, BlockId(block), bytes, winner.map(NodeId), &replicas, &scores);
-                        }
-                    };
-                    if x % 3 == 0 {
-                        stage(&h, x >> 2, &mut Vec::new());
-                        h.provenance_discard();
-                    }
+                    let count = if x % 13 == 0 { 1500 + x % 4000 } else { x % 4 };
                     let mut batch = Vec::new();
-                    stage(&h, x, &mut batch);
+                    for k in 0..count {
+                        let mig = IDS[((x >> (k % 16)) as usize + k as usize) % IDS.len()];
+                        let variant = match (x >> (k % 13)) % 8 {
+                            v @ (1 | 2) => v,
+                            _ => 0,
+                        };
+                        let push = push_for(mig, variant, x.wrapping_add(k));
+                        let winner = match (x + k) % 4 {
+                            0 => None,
+                            1 => Some(9),
+                            _ => push.2.first().map(|n| n.0),
+                        };
+                        batch.push(record_of(mig, &push, winner));
+                        let (block, bytes, replicas, scores) = push;
+                        h.provenance_push(mig, BlockId(block), bytes, winner.map(NodeId), &replicas, &scores);
+                    }
                     let (rescored, skipped) = (batch.len() as u64, x % 5);
                     for rec in &mut batch {
                         rec.at = SimTime::from_secs(now);

@@ -188,7 +188,6 @@ impl Simulation {
         let obs = dyrs_obs::ObsHandle::new();
         let mut master = Master::new(cfg.policy, n, cfg.cluster.nodes[0].disk_bw, rng.derive(2));
         master.set_order(cfg.dyrs.migration_order);
-        master.set_sched_config(cfg.dyrs.scheduler);
         master.attach_obs(obs.clone());
         master.configure_detector(cfg.dyrs.failure_detector.clone());
         let mem_limit = |spec_cap: u64| cfg.mem_limit.unwrap_or(spec_cap);

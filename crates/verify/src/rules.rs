@@ -25,7 +25,7 @@ pub enum Rule {
     NetFence,
     /// Direct access to the scheduler's raw pending store outside
     /// `crates/core/src/sched/` — everything else must go through the
-    /// scheduler API so its indexes and dirty-sets stay consistent.
+    /// scheduler API so its indexes and dirty flag stay consistent.
     PendingFence,
     /// A cycle in the transitive lock-acquisition graph — two code paths
     /// take the same locks in opposite orders (emitted by the cross-file
@@ -309,7 +309,7 @@ pub fn check(
 
         if rules.pending_fence && !in_test {
             // `raw_pending` is the scheduler's entry slab; reached from
-            // outside the sched module it bypasses the dirty-set
+            // outside the sched module it bypasses the dirty-flag
             // bookkeeping.
             if has_token(line, "raw_pending") {
                 findings.push(Finding {
@@ -319,7 +319,7 @@ pub fn check(
                     excerpt: excerpt(n),
                     message: "raw pending-store access `raw_pending` outside \
                               crates/core/src/sched; go through the Scheduler API so its \
-                              indexes and dirty-sets stay consistent"
+                              indexes and dirty flag stay consistent"
                         .to_owned(),
                 });
             }

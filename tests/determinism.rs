@@ -158,65 +158,6 @@ fn event_traces_are_bit_stable_across_reruns() {
 }
 
 #[test]
-fn scheduler_engines_replay_identical_event_streams() {
-    // The default Algorithm 1 engine must be decision-identical to the
-    // reference full rescan — same winners, same bind order, same event
-    // stream — not merely similar outcomes. The failure drill is the
-    // hard case: restarts reset the dirty-set bookkeeping and fail-stop
-    // cycles flip candidacy mid-queue. (On this 7-node cluster every
-    // pass with work crosses the density ceiling; the plan walk's side
-    // of the contract is the wide-cluster proptest in
-    // `crates/core/tests/sched_equivalence.rs`.)
-    use dyrs::{SchedEngine, SchedulerConfig};
-    let mk = |sched: SchedulerConfig| -> Vec<SimTask> {
-        let plain = {
-            let mut cfg = hetero_config(MigrationPolicy::Dyrs, SEED);
-            cfg.dyrs.scheduler = sched;
-            let w = sort::sort_workload(2 << 30, SimDuration::from_secs(20), 0);
-            let (cfg, jobs) = with_workload(cfg, w);
-            SimTask::new("plain", cfg, jobs)
-        };
-        let drill = {
-            let mut cfg = hetero_config(MigrationPolicy::Dyrs, SEED);
-            cfg.dyrs.scheduler = sched;
-            cfg.failures = vec![
-                FailureEvent::MasterRestart {
-                    at: SimTime::from_secs(6),
-                },
-                FailureEvent::NodeDown {
-                    at: SimTime::from_secs(14),
-                    node: NodeId(2),
-                },
-                FailureEvent::NodeUp {
-                    at: SimTime::from_secs(40),
-                    node: NodeId(2),
-                },
-            ];
-            let w = sort::sort_workload(2 << 30, SimDuration::ZERO, 0);
-            let (cfg, jobs) = with_workload(cfg, w);
-            SimTask::new("drill", cfg, jobs)
-        };
-        vec![plain, drill]
-    };
-    let refr = run_all(
-        mk(SchedulerConfig {
-            engine: SchedEngine::Reference,
-        }),
-        1,
-    );
-    let default = run_all(mk(SchedulerConfig::default()), 1);
-    for ((la, a), (lb, b)) in default.iter().zip(&refr) {
-        assert_eq!(la, lb);
-        assert_eq!(
-            a.trace_digest, b.trace_digest,
-            "{la}: the default engine diverged from the reference pass"
-        );
-        assert_eq!(a.end_time, b.end_time, "{la}: end time");
-        assert_eq!(a.master, b.master, "{la}: master stats");
-    }
-}
-
-#[test]
 fn trace_exports_are_byte_identical_across_reruns() {
     // The observability exports are part of the determinism contract:
     // two same-seed runs must render byte-identical spans.jsonl,
@@ -287,8 +228,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// commit before the recorder moved to a paged span table and a columnar
 /// provenance log.
 const DRILL_SPANS_PIN: (usize, u64) = (4_807, 0x8C70_F9E0_BFEF_57ED);
-/// `metrics.jsonl` of the same run.
-const DRILL_METRICS_PIN: (usize, u64) = (109_359, 0x0E2C_87DC_A52E_03BC);
+/// `metrics.jsonl` of the same run, re-pinned when the density ceiling
+/// and its `sched.cascade_ceiling` counter line were deleted.
+const DRILL_METRICS_PIN: (usize, u64) = (109_299, 0xD64D_9BEA_D9B0_5CF9);
 /// `provenance.jsonl` of the same run.
 const DRILL_PROVENANCE_PIN: (usize, u64) = (2_351, 0xF379_59F7_59F1_BC80);
 /// `trace.json` of the same run.
@@ -790,19 +732,21 @@ const SWIM_DISABLED_DIGEST: u64 = 0x223A_5D5C_91FA_F7F2;
 const SWIM_DRILL_DIGEST: u64 = 0x5949_86B4_CC52_9088;
 
 /// `(byte length, FNV-1a)` of `spans.jsonl`, `provenance.jsonl` and
-/// `trace.json` of the SWIM DYRS run and of the SWIM drill, captured
-/// before span events and provenance records kept per-migration
-/// constants in a shared table.
+/// `trace.json` of the SWIM DYRS run and of the SWIM drill. The span pins
+/// date from before span events kept per-migration constants in a shared
+/// table. The provenance and trace pins were re-pinned when the plan walk
+/// was deleted: a pass that walks now records every pending entry (the
+/// same decisions), and its `sched.dirty_entries` gauge reads the depth.
 const SWIM_EXPORT_PINS: [[(usize, u64); 3]; 2] = [
     [
         (827_519, 0x5C25_9FF7_88D9_EC64),
-        (3_526_762, 0x1B15_519F_5A11_AB32),
-        (6_521_190, 0xCE39_476F_3680_E9A7),
+        (3_938_303, 0x2FB7_D95C_7037_C14D),
+        (6_521_222, 0x46E5_100A_E1C8_38DB),
     ],
     [
         (877_128, 0x3821_C6FE_A36D_7849),
-        (4_902_805, 0x48C2_9BB8_7AA0_86AA),
-        (6_489_933, 0x3C82_0047_3B02_A80E),
+        (5_424_916, 0x495C_941B_9703_945A),
+        (6_489_978, 0xBB10_F2E8_68A3_146F),
     ],
 ];
 
@@ -832,8 +776,8 @@ fn swim_speculation_digests_match_the_pins() {
         assert_eq!(r.trace_digest, pin, "{label}: SWIM event stream changed");
     }
     // The logs at volume: thousands of span events and provenance
-    // records, full and plan walks, and abort causes, over many of the
-    // recorder's pages.
+    // records, walked and skipped passes, and abort causes, over many of
+    // the recorder's pages.
     for ((label, r), pins) in [&out[0], &out[3]].into_iter().zip(SWIM_EXPORT_PINS) {
         if !r.obs.enabled {
             continue;
