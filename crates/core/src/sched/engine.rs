@@ -19,7 +19,8 @@
 //! untargeted entry leaves it clear: such an entry charged no node's
 //! trajectory, so no other decision depended on it. The master's
 //! `clean_pass_skips_match_full_walks` proptest checks the skip against
-//! a master forced to walk every pass.
+//! a master forced to walk every pass, and `tests/sched_equivalence.rs`
+//! against a fresh master restored from the running one's checkpoint.
 
 use super::{Entry, Pos, RetargetStats, Scheduler};
 use dyrs_cluster::NodeId;
