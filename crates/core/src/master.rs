@@ -490,7 +490,7 @@ impl Master {
             next_id: 0,
             stats: MasterStats::default(),
             default_spb: 1.0 / default_disk_bw,
-            obs: ObsHandle::default(),
+            obs: ObsHandle::disconnected(),
             detector: None,
             det: vec![DetectorState::default(); num_nodes],
             bound_records: BTreeMap::new(),

@@ -653,7 +653,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let obs = dyrs_obs::ObsHandle::default();
+        let obs = dyrs_obs::ObsHandle::disconnected();
         for pass in 0..7u32 {
             let fast = (pass.min(5) % 2) as usize;
             let slow2 = if pass == 6 {

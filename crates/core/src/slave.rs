@@ -220,7 +220,7 @@ impl Slave {
             implicit_jobs: BTreeSet::new(),
             calibrated: false,
             stats: SlaveStats::default(),
-            obs: ObsHandle::default(),
+            obs: ObsHandle::disconnected(),
         }
     }
 

@@ -20,7 +20,7 @@
 //! a framing error, not silently ignored.
 
 use crate::proto::{Message, PROTOCOL_VERSION};
-use crate::wire::{self, DecodeError, Reader, Wire};
+use crate::wire::{DecodeError, Reader, Wire};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -75,13 +75,24 @@ impl From<DecodeError> for FrameError {
 
 /// Encode `msg` as one complete frame at `version`.
 pub fn encode_frame(version: u16, msg: &Message) -> Vec<u8> {
-    let payload = wire::to_bytes(msg);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, version, msg);
+    out
+}
+
+/// Replace `out`'s contents with `msg` as one complete frame at
+/// `version`, the bytes [`encode_frame`] returns. The header is written
+/// first and the payload encoded behind it, then the length is patched
+/// in, so nothing is encoded twice or copied; a caller that keeps `out`
+/// between frames reuses its capacity.
+pub fn encode_frame_into(out: &mut Vec<u8>, version: u16, msg: &Message) {
+    out.clear();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
+    out.extend_from_slice(&[0; 4]);
+    msg.encode(out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Decode one complete frame from `buf`, accepting only versions in

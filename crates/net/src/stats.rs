@@ -203,7 +203,7 @@ pub fn render_watch_table(scrapes: &[Scrape]) -> String {
         // tier 0 (memory, already covered by buffer gauges) is excluded.
         let mut tiered: Option<f64> = None;
         for g in &snap.gauges {
-            if g.name == "tier.occupancy_bytes" && (g.key & 0xff) >= 1 {
+            if &*g.name == "tier.occupancy_bytes" && (g.key & 0xff) >= 1 {
                 *tiered.get_or_insert(0.0) += g.value;
             }
         }
@@ -214,7 +214,7 @@ pub fn render_watch_table(scrapes: &[Scrape]) -> String {
         let health = {
             let mut worst: Option<(u64, f64)> = None;
             for g in &snap.gauges {
-                if g.name == "node.health" && worst.is_none_or(|(_, w)| g.value > w) {
+                if &*g.name == "node.health" && worst.is_none_or(|(_, w)| g.value > w) {
                     worst = Some((g.key, g.value));
                 }
             }
@@ -416,7 +416,7 @@ mod tests {
         let mut s = sample();
         s.snapshot
             .gauges
-            .retain(|g| g.name != "tier.occupancy_bytes");
+            .retain(|g| &*g.name != "tier.occupancy_bytes");
         let table = render_watch_table(&[s]);
         assert!(table.contains(" -  "), "legacy snapshots show a dash");
     }

@@ -20,6 +20,7 @@ use dyrs_dfs::{BlockId, FileId, JobId};
 use dyrs_obs::{FlightEntry, FlightRecord, GaugeSample, StatsSnapshot};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
+use std::sync::Arc;
 
 /// Longest sequence the decoder will allocate for (elements). Protects
 /// against a corrupt or hostile length prefix causing an OOM before the
@@ -86,6 +87,26 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
+
+    /// A sequence's `u32` length prefix, refused above [`MAX_SEQ_LEN`].
+    fn seq_len(&mut self) -> Result<u32, DecodeError> {
+        let len = u32::decode(self)?;
+        if len > MAX_SEQ_LEN {
+            return Err(DecodeError::OversizedSeq(len));
+        }
+        Ok(len)
+    }
+
+    /// A string's bytes (length prefix, then the bytes), not yet checked
+    /// for UTF-8.
+    fn str_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.seq_len()?;
+        self.take(len as usize)
+    }
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, DecodeError> {
+    std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
 }
 
 /// A value with a canonical binary encoding.
@@ -154,19 +175,35 @@ impl Wire for usize {
     }
 }
 
+fn encode_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u32).encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
 impl Wire for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = u32::decode(r)?;
-        if len > MAX_SEQ_LEN {
-            return Err(DecodeError::OversizedSeq(len));
-        }
-        let bytes = r.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        utf8(r.str_bytes()?).map(str::to_owned)
     }
+}
+
+/// The same bytes as a `String`.
+impl Wire for Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        utf8(r.str_bytes()?).map(Arc::from)
+    }
+}
+
+/// Room for a sequence of `len` elements. Reserved conservatively: a
+/// corrupt prefix may claim more elements than the buffer can hold, so
+/// the capacity is capped by the bytes remaining.
+fn seq_with_capacity<T>(len: u32, r: &Reader<'_>) -> Vec<T> {
+    Vec::with_capacity((len as usize).min(r.remaining()))
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -177,13 +214,8 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = u32::decode(r)?;
-        if len > MAX_SEQ_LEN {
-            return Err(DecodeError::OversizedSeq(len));
-        }
-        // Reserve conservatively: a corrupt prefix may claim more
-        // elements than the buffer can hold, so cap by remaining bytes.
-        let mut v = Vec::with_capacity((len as usize).min(r.remaining()));
+        let len = r.seq_len()?;
+        let mut v = seq_with_capacity(len, r);
         for _ in 0..len {
             v.push(T::decode(r)?);
         }
@@ -381,13 +413,37 @@ impl Wire for GaugeSample {
         self.at.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(GaugeSample {
-            name: String::decode(r)?,
-            key: u64::decode(r)?,
-            value: f64::decode(r)?,
-            at: SimTime::decode(r)?,
-        })
+        let name = Arc::decode(r)?;
+        gauge_sample_after(name, r)
     }
+}
+
+/// The rest of a gauge sample whose name is decoded.
+fn gauge_sample_after(name: Arc<str>, r: &mut Reader<'_>) -> Result<GaugeSample, DecodeError> {
+    Ok(GaugeSample {
+        name,
+        key: u64::decode(r)?,
+        value: f64::decode(r)?,
+        at: SimTime::decode(r)?,
+    })
+}
+
+/// A snapshot's gauge samples, as `Vec<GaugeSample>` encodes them. They
+/// come in (name, key) order, so the samples of one name are adjacent: a
+/// sample whose name bytes match the previous sample's shares its
+/// allocation, and a scrape allocates each name once.
+fn decode_gauges(r: &mut Reader<'_>) -> Result<Vec<GaugeSample>, DecodeError> {
+    let len = r.seq_len()?;
+    let mut gauges: Vec<GaugeSample> = seq_with_capacity(len, r);
+    for _ in 0..len {
+        let bytes = r.str_bytes()?;
+        let name = match gauges.last() {
+            Some(prev) if prev.name.as_bytes() == bytes => Arc::clone(&prev.name),
+            _ => Arc::from(utf8(bytes)?),
+        };
+        gauges.push(gauge_sample_after(name, r)?);
+    }
+    Ok(gauges)
 }
 
 impl Wire for StatsSnapshot {
@@ -404,7 +460,7 @@ impl Wire for StatsSnapshot {
             at: SimTime::decode(r)?,
             enabled: bool::decode(r)?,
             counters: Vec::decode(r)?,
-            gauges: Vec::decode(r)?,
+            gauges: decode_gauges(r)?,
             open_spans: Vec::decode(r)?,
             top_winners: Vec::decode(r)?,
         })

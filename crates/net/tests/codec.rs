@@ -7,17 +7,21 @@ use dyrs::master::{BlockRequest, JobHint};
 use dyrs::slave::HeartbeatReport;
 use dyrs::types::{JobRef, Migration, MigrationId};
 use dyrs::EvictionMode;
+use dyrs::{FailureDetectorConfig, Master, MigrationPolicy};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use dyrs_net::frame::{
     self, decode_frame, encode_frame, supported_versions, FrameError, MAX_FRAME,
 };
 use dyrs_net::wire::{from_bytes, to_bytes, DecodeError};
-use dyrs_net::{Message, Role, StatsScope, PROTOCOL_VERSION};
-use dyrs_obs::{FlightEntry, FlightRecord, GaugeSample, StatsSnapshot};
+use dyrs_net::{
+    checkpoint_from_bytes, checkpoint_to_bytes, Message, Role, StatsScope, PROTOCOL_VERSION,
+};
+use dyrs_obs::{FlightEntry, FlightRecord, GaugeSample, ObsHandle, StatsSnapshot};
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
-use simkit::SimTime;
+use simkit::{Rng, SimTime};
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Generators: one arbitrary value per payload type, then an arbitrary
@@ -82,9 +86,14 @@ fn arb_stats_scope(rng: &mut TestRng) -> StatsScope {
     }
 }
 
+/// Gauge names for [`arb_gauge_sample`]: a small pool, so a snapshot's
+/// samples often repeat the previous sample's name (the decoder then
+/// shares it), with an empty name and a non-ASCII one among them.
+const GAUGE_NAMES: [&str; 4] = ["node.health", "tier.utilization", "", "jöb.ready"];
+
 fn arb_gauge_sample(rng: &mut TestRng) -> GaugeSample {
     GaugeSample {
-        name: arb_string(rng),
+        name: GAUGE_NAMES[rng.below(GAUGE_NAMES.len() as u64) as usize].into(),
         key: rng.next_u64(),
         value: arb_f64(rng),
         at: SimTime::from_micros(rng.next_u64() >> 16),
@@ -98,7 +107,7 @@ fn arb_snapshot(rng: &mut TestRng) -> StatsSnapshot {
         counters: (0..rng.below(4))
             .map(|_| (arb_string(rng), rng.next_u64()))
             .collect(),
-        gauges: (0..rng.below(4)).map(|_| arb_gauge_sample(rng)).collect(),
+        gauges: (0..rng.below(8)).map(|_| arb_gauge_sample(rng)).collect(),
         open_spans: (0..rng.below(4))
             .map(|_| (arb_string(rng), rng.next_u64()))
             .collect(),
@@ -423,4 +432,238 @@ fn oversized_snapshot_reply_rejected_by_frame_cap() {
         decode_frame(&bytes, supported_versions()),
         Err(FrameError::Oversized(len))
     );
+}
+
+// ---------------------------------------------------------------------------
+// A scrape at volume
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Nodes in [`volume_recorder`]'s heartbeat pattern.
+const VOLUME_NODES: u64 = 64;
+
+/// Per-job series in [`volume_recorder`]: a long scaled-SWIM run keeps one
+/// `job.lead_time_ready_fraction` series for every job it launched.
+const VOLUME_JOBS: u64 = 1_800;
+
+/// A recorder fed what a 64-node simulation records: eight rounds of
+/// heartbeats, each sampling the per-node and per-tier gauges (tier keys
+/// `(node << 8) | tier`), then the scheduler gauges and a counter; then
+/// one series per job; then one migration and one Algorithm 1 pass.
+fn volume_recorder() -> ObsHandle {
+    let h = ObsHandle::new();
+    for round in 0..8u64 {
+        for node in 0..VOLUME_NODES {
+            h.set_now(SimTime::from_micros(round * 1_000_000 + node * 10_000));
+            let x = (round * 131 + node * 17) % 1000;
+            h.gauge("node.health", node, (x % 4) as f64);
+            h.gauge("node.estimate_secs_per_block", node, x as f64 / 64.0);
+            h.gauge("node.queue_backlog_bytes", node, (x << 20) as f64);
+            h.gauge("node.buffer_bytes", node, ((x * 3) << 16) as f64);
+            h.gauge("node.disk_utilization", node, x as f64 / 1000.0);
+            for tier in 0..2 {
+                let key = (node << 8) | tier;
+                h.gauge("tier.occupancy_bytes", key, ((x + tier) << 20) as f64);
+                h.gauge("tier.utilization", key, (x % 100) as f64 / 100.0);
+            }
+            h.counter_add("detector.heartbeats", 1);
+        }
+        h.gauge("sched.pending_depth", 0, (round * 7) as f64);
+        h.gauge("sched.dirty_entries", 0, round as f64);
+    }
+    for job in 0..VOLUME_JOBS {
+        h.gauge("job.lead_time_ready_fraction", job, (job % 9) as f64 / 8.0);
+    }
+    h.migration_pending(1, BlockId(1), 64 << 20, Some(JobId(1)));
+    h.provenance_push(
+        1,
+        BlockId(1),
+        64 << 20,
+        Some(NodeId(3)),
+        &[NodeId(3), NodeId(5)],
+        &[1.5, 2.5],
+    );
+    h.retarget_pass(1, 0);
+    h
+}
+
+/// `(byte length, FNV-1a)` of the `StatsReply` frame carrying
+/// [`volume_recorder`]'s snapshot, captured before gauge samples shared
+/// their names: the wire bytes of a scrape may not change with the
+/// recorder's or the decoder's internals.
+const VOLUME_REPLY_PIN: (usize, u64) = (128_268, 0x5A49_19FA_0E9D_CC43);
+
+#[test]
+fn volume_stats_reply_matches_the_pin() {
+    let h = volume_recorder();
+    if !h.is_enabled() {
+        return;
+    }
+    let msg = Message::StatsReply {
+        scope: StatsScope::Local,
+        snapshot: h.snapshot(),
+    };
+    let bytes = encode_frame(PROTOCOL_VERSION, &msg);
+    assert_eq!((bytes.len(), fnv1a(&bytes)), VOLUME_REPLY_PIN);
+    let (_, back) = decode_frame(&bytes, supported_versions()).expect("decodes");
+    assert_eq!(back, msg);
+}
+
+#[test]
+fn runs_of_equal_gauge_names_share_one_allocation() {
+    let sample = |name: &str, key| GaugeSample {
+        name: name.into(),
+        key,
+        value: key as f64,
+        at: SimTime::from_micros(key),
+    };
+    let msg = Message::StatsReply {
+        scope: StatsScope::Local,
+        snapshot: StatsSnapshot {
+            gauges: vec![
+                sample("node.health", 0),
+                sample("node.health", 1),
+                sample("node.health_x", 0),
+                sample("node.health", 2),
+            ],
+            ..StatsSnapshot::default()
+        },
+    };
+    let bytes = encode_frame(PROTOCOL_VERSION, &msg);
+    let (_, back) = decode_frame(&bytes, supported_versions()).expect("decodes");
+    assert_eq!(encode_frame(PROTOCOL_VERSION, &back), bytes);
+    assert_eq!(back, msg);
+    let Message::StatsReply { snapshot, .. } = back else {
+        panic!("a stats reply decodes as one");
+    };
+    let g = &snapshot.gauges;
+    assert!(Arc::ptr_eq(&g[0].name, &g[1].name), "one run, one name");
+    assert!(!Arc::ptr_eq(&g[1].name, &g[2].name));
+    assert!(!Arc::ptr_eq(&g[2].name, &g[3].name));
+    assert_eq!(&*g[3].name, "node.health");
+}
+
+// ---------------------------------------------------------------------------
+// Decode robustness: damaged frames and checkpoints
+// ---------------------------------------------------------------------------
+
+/// The `StatsReply` frame of [`volume_recorder`]'s snapshot: 2,378 gauge
+/// samples in runs of shared names (empty when recording is compiled
+/// out).
+fn volume_frame() -> &'static [u8] {
+    static FRAME: OnceLock<Vec<u8>> = OnceLock::new();
+    FRAME.get_or_init(|| {
+        let msg = Message::StatsReply {
+            scope: StatsScope::Local,
+            snapshot: volume_recorder().snapshot(),
+        };
+        encode_frame(PROTOCOL_VERSION, &msg)
+    })
+}
+
+/// A master in the state `seed` draws: 3–6 nodes with the failure
+/// detector on, a few jobs of blocks over random replicas, a retarget
+/// pass, and some pulls, so its checkpoint carries nodes, pending
+/// entries and bindings.
+fn drawn_master(seed: u64) -> Master {
+    let mut rng = TestRng::from_seed(seed);
+    let nodes = 3 + rng.below(4) as u32;
+    let mut m = Master::new(MigrationPolicy::Dyrs, nodes as usize, 140e6, Rng::new(seed));
+    m.configure_detector(FailureDetectorConfig::default());
+    for n in 0..nodes {
+        m.on_heartbeat(
+            NodeId(n),
+            (1.0 + rng.unit_f64()) / 140e6,
+            rng.below(1 << 30),
+        );
+    }
+    for job in 0..1 + rng.below(3) {
+        let blocks = (0..1 + rng.below(6))
+            .map(|b| BlockRequest {
+                block: BlockId(job * 100 + b),
+                bytes: (1 + rng.below(256)) << 20,
+                replicas: (0..1 + rng.below(3))
+                    .map(|_| NodeId(rng.below(u64::from(nodes)) as u32))
+                    .collect(),
+            })
+            .collect();
+        let eviction = if rng.below(2) == 0 {
+            EvictionMode::Explicit
+        } else {
+            EvictionMode::Implicit
+        };
+        let _ = m.request_migration(JobId(job), blocks, eviction);
+    }
+    m.retarget();
+    for n in 0..nodes {
+        let _ = m.on_slave_pull(NodeId(n), rng.below(3) as usize);
+    }
+    m
+}
+
+/// `bytes` cut to `at % len` bytes, or with the byte at `at % len`
+/// XORed with `mask`.
+fn damage(bytes: &[u8], cut: bool, at: u64, mask: u8) -> Vec<u8> {
+    let i = (at % bytes.len() as u64) as usize;
+    let mut out = bytes.to_vec();
+    if cut {
+        out.truncate(i);
+    } else {
+        out[i] ^= mask;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A truncated frame, or one with a byte flipped, never panics the
+    /// decoder, and whatever still decodes re-encodes to exactly the
+    /// damaged bytes: the decoder accepts only canonical encodings. One
+    /// case in four damages the large scrape reply with shared names.
+    #[test]
+    fn damaged_frames_decode_canonically_or_not_at_all(
+        msg in ArbMessage,
+        big in 0u8..4,
+        cut in any::<bool>(),
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let frame = if big == 0 {
+            volume_frame().to_vec()
+        } else {
+            encode_frame(PROTOCOL_VERSION, &msg)
+        };
+        let damaged = damage(&frame, cut, at, mask);
+        if let Ok((version, back)) = decode_frame(&damaged, supported_versions()) {
+            prop_assert_eq!(encode_frame(version, &back), damaged);
+        }
+    }
+
+    /// The same for master checkpoints: damaged checkpoint bytes never
+    /// panic the decoder, and a checkpoint that still decodes re-encodes
+    /// to the damaged bytes.
+    #[test]
+    fn damaged_checkpoints_decode_canonically_or_not_at_all(
+        seed in any::<u64>(),
+        cut in any::<bool>(),
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let bytes = checkpoint_to_bytes(&drawn_master(seed).checkpoint());
+        prop_assert_eq!(
+            checkpoint_from_bytes(&bytes).map(|cp| checkpoint_to_bytes(&cp)),
+            Ok(bytes.clone())
+        );
+        let damaged = damage(&bytes, cut, at, mask);
+        if let Ok(cp) = checkpoint_from_bytes(&damaged) {
+            prop_assert_eq!(checkpoint_to_bytes(&cp), damaged);
+        }
+    }
 }

@@ -25,6 +25,13 @@ impl ObsHandle {
         ObsHandle
     }
 
+    /// The same no-op handle: with recording compiled out, every handle
+    /// is disconnected.
+    #[inline]
+    pub fn disconnected() -> Self {
+        ObsHandle
+    }
+
     /// Always `false`: callers guard recording-only payload construction
     /// on this, so those paths dead-code-eliminate.
     #[inline]

@@ -16,10 +16,11 @@
 //! the last [`FLIGHT_CAPACITY`] transitions leading up to the event.
 //!
 //! Unlike the recording handle, everything here is plain owned data
-//! (`String`, not `&'static str`) so the types can cross the wire via
-//! `dyrs-net` and outlive the recorder that produced them.
+//! (`String` or `Arc<str>`, not `&'static str`) so the types can cross
+//! the wire via `dyrs-net` and outlive the recorder that produced them.
 
 use simkit::SimTime;
+use std::sync::Arc;
 
 /// How many recent span transitions the flight recorder retains. Old
 /// entries are dropped (and counted in [`FlightRecord::dropped`]) once
@@ -37,8 +38,10 @@ pub const MAX_AUTO_DUMPS: usize = 8;
 /// The latest sample of one gauge series.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GaugeSample {
-    /// Metric name, e.g. `sched.pending_depth`.
-    pub name: String,
+    /// Metric name, e.g. `sched.pending_depth`. Shared: a snapshot
+    /// allocates each name once, and every sample of that name (one per
+    /// node, tier or job) points at it.
+    pub name: Arc<str>,
     /// Entity key (node index for `node.*`/`detector.*`, job id for
     /// `job.*`, 0 for scalar gauges).
     pub key: u64,
@@ -84,7 +87,7 @@ impl StatsSnapshot {
     pub fn gauge(&self, name: &str, key: u64) -> Option<f64> {
         self.gauges
             .iter()
-            .find(|g| g.name == name && g.key == key)
+            .find(|g| &*g.name == name && g.key == key)
             .map(|g| g.value)
     }
 

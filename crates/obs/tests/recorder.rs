@@ -18,8 +18,10 @@
 //! iteration record for record. The scrape view (`snapshot`) must agree
 //! with a recount, and `close_dangling` must abort exactly the spans whose
 //! last event is non-terminal, in ascending id order. A second property
-//! interleaves gauge samples across names and keys: both the scrape view
-//! and the report keep (name, key) order. (Compiled only with the
+//! interleaves gauge samples across names and keys, on both sides of the
+//! gauge store's dense-key bound and with names passed from a second
+//! address: the scrape view, taken between samples, and the report keep
+//! (name, key) order against a flat map. (Compiled only with the
 //! `enabled` feature, which the workspace build turns on through
 //! `dyrs-sim`.)
 
@@ -449,6 +451,10 @@ const GAUGES: [&str; 6] = [
     "job.lead_time_ready_fraction",
 ];
 
+/// Keys past the gauge store's dense bound: a tier key of node 1023, a
+/// key above 2^32, and `u64::MAX`.
+const FAR_KEYS: [u64; 3] = [(1023 << 8) | 3, 1 << 40, u64::MAX];
+
 /// One gauge series' samples, oldest first.
 type Points = Vec<(SimTime, f64)>;
 
@@ -461,16 +467,22 @@ proptest! {
     #[test]
     fn gauges_keep_name_then_key_order(
         ops in proptest::collection::vec(
-            (0usize..GAUGES.len(), 0u64..300, 0u64..4, 0u64..1 << 40, 0u8..6),
+            (0usize..GAUGES.len(), 0u64..300, 0u64..4, 0u64..1 << 40, 0u8..6, 0u8..8),
             1..200,
         ),
     ) {
+        // The same names at other addresses, as another crate's literals
+        // would be: their samples belong to the literals' series.
+        let copies: Vec<&'static str> =
+            GAUGES.iter().map(|g| &*String::leak((*g).to_owned())).collect();
         let h = ObsHandle::new();
         let mut model: BTreeMap<(&str, u64), Points> = BTreeMap::new();
         let mut now = SimTime::ZERO;
-        for &(sel, node, tier, x, kind) in &ops {
+        for &(sel, node, tier, x, kind, how) in &ops {
             let name = GAUGES[sel];
-            let key = if name.starts_with("tier.") {
+            let key = if how >> 1 == 3 {
+                FAR_KEYS[(x % 3) as usize]
+            } else if name.starts_with("tier.") {
                 (node << 8) | tier
             } else if kind % 2 == 0 {
                 node
@@ -478,7 +490,7 @@ proptest! {
                 x
             };
             let value = (x % 1000) as f64 / 8.0;
-            h.gauge(name, key, value);
+            h.gauge(if how & 1 == 1 { copies[sel] } else { name }, key, value);
             model.entry((name, key)).or_default().push((now, value));
             match kind {
                 0 => {
@@ -493,11 +505,18 @@ proptest! {
                             (name.to_owned(), key, value, at)
                         })
                         .collect();
-                    let got: Vec<(String, u64, f64, SimTime)> = h
-                        .snapshot()
+                    let snap = h.snapshot();
+                    for pair in snap.gauges.windows(2) {
+                        prop_assert_eq!(
+                            pair[0].name == pair[1].name,
+                            std::sync::Arc::ptr_eq(&pair[0].name, &pair[1].name),
+                            "a snapshot allocates each name once"
+                        );
+                    }
+                    let got: Vec<(String, u64, f64, SimTime)> = snap
                         .gauges
                         .into_iter()
-                        .map(|g| (g.name, g.key, g.value, g.at))
+                        .map(|g| (g.name.to_string(), g.key, g.value, g.at))
                         .collect();
                     prop_assert_eq!(got, want);
                 }

@@ -37,6 +37,8 @@ pub(crate) enum WireLink {
         frames: u64,
         /// Encoded bytes moved, headers included.
         bytes: u64,
+        /// The frame being routed; its capacity serves every frame.
+        buf: Vec<u8>,
     },
 }
 
@@ -47,6 +49,7 @@ impl WireLink {
             WireMode::Loopback => WireLink::Loopback {
                 frames: 0,
                 bytes: 0,
+                buf: Vec::new(),
             },
         }
     }
@@ -70,14 +73,14 @@ impl WireLink {
     /// Encode `msg` as one frame, count it, and decode it back: the
     /// message the far side would receive.
     fn route(&mut self, msg: Message) -> Message {
-        let WireLink::Loopback { frames, bytes } = self else {
+        let WireLink::Loopback { frames, bytes, buf } = self else {
             unreachable!("route is only called in Loopback mode")
         };
-        let wire = frame::encode_frame(PROTOCOL_VERSION, &msg);
+        frame::encode_frame_into(buf, PROTOCOL_VERSION, &msg);
         *frames += 1;
-        *bytes += wire.len() as u64;
-        let (_, decoded) = frame::decode_frame(&wire, frame::supported_versions())
-            .expect("loopback frame decodes");
+        *bytes += buf.len() as u64;
+        let (_, decoded) =
+            frame::decode_frame(buf, frame::supported_versions()).expect("loopback frame decodes");
         decoded
     }
 
