@@ -580,6 +580,12 @@ fn legacy_pin_task(label: &str, hetero: bool) -> SimTask {
 const PRE_TIER_HETERO_DIGEST: u64 = 0x42E8_CF51_7764_1B05;
 /// Pre-tier trace digest of `legacy_pin_task("homog", false)`.
 const PRE_TIER_HOMOG_DIGEST: u64 = 0x3CC4_03A5_2390_1B6C;
+/// Events dispatched by `legacy_pin_task("hetero", true)`. Event counts
+/// do not depend on the digest function, so they carry across a change
+/// of it: a digest re-pin with unchanged counts changed no event.
+const PRE_TIER_HETERO_EVENTS: u64 = 542;
+/// Events dispatched by `legacy_pin_task("homog", false)`.
+const PRE_TIER_HOMOG_EVENTS: u64 = 526;
 
 #[test]
 fn two_tier_digests_match_the_pre_tier_pins() {
@@ -602,6 +608,8 @@ fn two_tier_digests_match_the_pre_tier_pins() {
         out[1].1.trace_digest, PRE_TIER_HOMOG_DIGEST,
         "homog: legacy event stream changed"
     );
+    assert_eq!(out[0].1.events_processed, PRE_TIER_HETERO_EVENTS);
+    assert_eq!(out[1].1.events_processed, PRE_TIER_HOMOG_EVENTS);
 }
 
 #[test]
@@ -624,6 +632,7 @@ fn explicit_two_tier_stack_replays_the_legacy_digest() {
         "explicit legacy() stack must replay the tiers: None event stream"
     );
     assert_eq!(out[1].1.trace_digest, PRE_TIER_HETERO_DIGEST);
+    assert_eq!(out[1].1.events_processed, PRE_TIER_HETERO_EVENTS);
 }
 
 /// Trace digest of the 3-tier scenario below, captured on the commit
@@ -632,6 +641,8 @@ fn explicit_two_tier_stack_replays_the_legacy_digest() {
 /// default). Equality proves that dropping them left the tiered event
 /// stream untouched, as `PRE_TIER_*` does for the 2-tier stack.
 const THREE_TIER_DIGEST: u64 = 0x9E7C_A21F_AC70_B55C;
+/// Events dispatched by the 3-tier scenario below.
+const THREE_TIER_EVENTS: u64 = 552;
 
 #[test]
 fn three_tier_scenario_runs_end_to_end() {
@@ -663,6 +674,7 @@ fn three_tier_scenario_runs_end_to_end() {
         a.trace_digest, THREE_TIER_DIGEST,
         "3-tier event stream changed"
     );
+    assert_eq!(a.events_processed, THREE_TIER_EVENTS);
     assert!(!a.jobs.is_empty() && a.failed_jobs.is_empty());
     // evictions were salvaged by demotion, and are attributable
     assert!(
@@ -730,6 +742,8 @@ const SWIM_IGNEM_DIGEST: u64 = 0xB02F_1B77_AD29_57B2;
 const SWIM_DISABLED_DIGEST: u64 = 0x223A_5D5C_91FA_F7F2;
 /// The DYRS run under `swim_drill_failures`.
 const SWIM_DRILL_DIGEST: u64 = 0x5949_86B4_CC52_9088;
+/// Events dispatched by the DYRS, Ignem, `Disabled` and drill SWIM runs.
+const SWIM_EVENTS: [u64; 4] = [18_783, 18_639, 17_050, 19_807];
 
 /// `(byte length, FNV-1a)` of `spans.jsonl`, `metrics.jsonl`,
 /// `provenance.jsonl` and `trace.json` of the SWIM DYRS run and of the
@@ -776,9 +790,10 @@ fn swim_speculation_digests_match_the_pins() {
         SWIM_DISABLED_DIGEST,
         SWIM_DRILL_DIGEST,
     ];
-    for ((label, r), pin) in out.iter().zip(pins) {
+    for (((label, r), pin), events) in out.iter().zip(pins).zip(SWIM_EVENTS) {
         assert!(r.speculations > 0, "{label}: the pin must speculate");
         assert_eq!(r.trace_digest, pin, "{label}: SWIM event stream changed");
+        assert_eq!(r.events_processed, events, "{label}: event count changed");
     }
     // The logs at volume: thousands of span events and provenance
     // records, walked and skipped passes, and abort causes, over many of
@@ -834,6 +849,10 @@ fn wide_swim_task(nodes: u32) -> SimTask {
 const SWIM_256_DIGEST: u64 = 0x818D_F189_7D5D_C440;
 /// Trace digest of `wide_swim_task(1024)`.
 const SWIM_1024_DIGEST: u64 = 0x20DE_18EC_2675_687A;
+/// Events dispatched by `wide_swim_task(256)`.
+const SWIM_256_EVENTS: u64 = 79_234;
+/// Events dispatched by `wide_swim_task(1024)`.
+const SWIM_1024_EVENTS: u64 = 338_216;
 
 #[test]
 fn wide_swim_digest_matches_the_pin() {
@@ -844,6 +863,7 @@ fn wide_swim_digest_matches_the_pin() {
         r.trace_digest, SWIM_256_DIGEST,
         "256-node event stream changed"
     );
+    assert_eq!(r.events_processed, SWIM_256_EVENTS);
     // No job may fail. The start-up stagger delays node n's first
     // heartbeat to 50n ms (12.75 s here), so a liveness view that times
     // out on heartbeats, as the NameNode's 3 s timeout did, sees live
@@ -865,6 +885,7 @@ fn thousand_node_swim_digest_matches_the_pin() {
         r.trace_digest, SWIM_1024_DIGEST,
         "1024-node event stream changed"
     );
+    assert_eq!(r.events_processed, SWIM_1024_EVENTS);
 }
 
 #[test]
