@@ -8,7 +8,9 @@
 //! migrations at each slave (paper §III-B).
 //!
 //! The model is event-driven: between membership changes, rates are
-//! constant, so the next completion time is exactly predictable. A caller
+//! constant, so the next completion time is exactly predictable. The
+//! resource solves its water-fill once per change and keeps the rates, so
+//! advancing it and asking for its next completion allocate nothing. A caller
 //! (the simulation driver) asks for [`FluidResource::next_completion`],
 //! schedules an event, and tags it with the current [`FluidResource::generation`];
 //! if membership changed in the meantime the generation won't match and the
@@ -64,7 +66,9 @@ pub struct FluidResource {
     slots: Vec<Option<Stream>>,
     free: Vec<u32>,
     active: usize,
-    total_weight: f64,
+    /// `(slot, rate)` of every active stream in slot order: the water-fill
+    /// of the current generation (see [`FluidResource::changed`]).
+    rates: Vec<(u32, f64)>,
     last_advance: SimTime,
     generation: u64,
     next_stamp: u32,
@@ -104,7 +108,7 @@ impl FluidResource {
             slots: Vec::new(),
             free: Vec::new(),
             active: 0,
-            total_weight: 0.0,
+            rates: Vec::new(),
             last_advance: SimTime::ZERO,
             generation: 0,
             next_stamp: 0,
@@ -135,54 +139,64 @@ impl FluidResource {
     /// Current transfer rate (bytes/sec) of one stream, or `None` if absent.
     pub fn stream_rate(&self, id: StreamId) -> Option<f64> {
         self.get(id)?;
-        self.rates()
-            .into_iter()
-            .find(|&(slot, _)| slot == id.slot as usize)
-            .map(|(_, r)| r)
+        let i = self
+            .rates
+            .binary_search_by_key(&id.slot, |&(slot, _)| slot)
+            .ok()?;
+        Some(self.rates[i].1)
     }
 
-    /// Per-active-stream transfer rates via weighted water-filling:
-    /// capacity is shared in proportion to weights, but no stream exceeds
-    /// its cap; slack freed by capped streams is redistributed to the
-    /// rest. Returns `(slot, rate)` pairs in slot order.
-    fn rates(&self) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = Vec::with_capacity(self.active);
-        let mut unfixed: Vec<(usize, f64, f64)> = Vec::with_capacity(self.active); // slot, weight, cap
-        for (slot, s) in self.slots.iter().enumerate() {
+    /// Record a change to the active set, a weight, a cap or the
+    /// capacity: bump the generation (invalidating completions predicted
+    /// at the old rates) and re-solve the water-fill. Every mutator calls
+    /// this, so `rates` always belongs to the current generation.
+    fn changed(&mut self) {
+        self.generation += 1;
+        self.fill_rates();
+    }
+
+    /// Weighted water-filling into `rates`: capacity is shared in
+    /// proportion to weights, but no stream exceeds its cap; slack freed
+    /// by capped streams is redistributed to the rest. A stream not yet
+    /// fixed at its cap holds NaN (a cap is never NaN).
+    fn fill_rates(&mut self) {
+        let slots = &self.slots;
+        let live = |slot: u32| {
+            slots[slot as usize]
+                .as_ref()
+                .expect("rates lists active slots")
+        };
+        self.rates.clear();
+        let mut unfixed_weight = 0.0;
+        for (slot, s) in slots.iter().enumerate() {
             if let Some(s) = s {
-                unfixed.push((slot, s.weight, s.cap));
+                self.rates.push((slot as u32, f64::NAN));
+                unfixed_weight += s.weight;
             }
         }
+        let mut unfixed = self.rates.len();
         let mut remaining = self.aggregate_capacity();
-        let mut unfixed_weight: f64 = unfixed.iter().map(|&(_, w, _)| w).sum();
-        // Water-filling: repeatedly fix streams whose cap is below their
-        // fair share and redistribute. Terminates in ≤ n rounds.
-        loop {
-            if unfixed.is_empty() {
-                break;
-            }
+        // Repeatedly fix streams whose cap is below their fair share and
+        // redistribute. Terminates in ≤ n rounds.
+        while unfixed > 0 {
             let share = remaining / unfixed_weight;
-            let mut fixed_any = false;
-            unfixed.retain(|&(slot, w, cap)| {
-                if cap < share * w {
-                    out.push((slot, cap));
-                    remaining -= cap;
-                    unfixed_weight -= w;
-                    fixed_any = true;
-                    false
-                } else {
-                    true
+            let before = unfixed;
+            for (slot, rate) in self.rates.iter_mut().filter(|e| e.1.is_nan()) {
+                let s = live(*slot);
+                if s.cap < share * s.weight {
+                    *rate = s.cap;
+                    remaining -= s.cap;
+                    unfixed_weight -= s.weight;
+                    unfixed -= 1;
                 }
-            });
-            if !fixed_any {
-                for &(slot, w, _) in &unfixed {
-                    out.push((slot, share * w));
+            }
+            if unfixed == before {
+                for (slot, rate) in self.rates.iter_mut().filter(|e| e.1.is_nan()) {
+                    *rate = share * live(*slot).weight;
                 }
                 break;
             }
         }
-        out.sort_unstable_by_key(|&(slot, _)| slot);
-        out
     }
 
     /// Bytes left on a stream, or `None` if absent.
@@ -232,10 +246,11 @@ impl FluidResource {
         }
         self.busy += dt;
         let dt_s = dt.as_secs_f64();
-        let rates = self.rates();
         let mut done = Vec::new();
-        for (slot, rate) in rates {
-            let s = self.slots[slot].as_mut().expect("rates lists active slots");
+        for &(slot, rate) in &self.rates {
+            let s = self.slots[slot as usize]
+                .as_mut()
+                .expect("rates lists active slots");
             let moved = (rate * dt_s).min(s.remaining);
             if moved.is_finite() {
                 self.bytes_moved += moved;
@@ -245,7 +260,7 @@ impl FluidResource {
                 if s.remaining <= EPS_BYTES {
                     done.push(Completion {
                         id: StreamId {
-                            slot: slot as u32,
+                            slot,
                             stamp: s.stamp,
                         },
                         tag: s.tag,
@@ -255,17 +270,14 @@ impl FluidResource {
         }
         // Remove completed streams.
         for c in &done {
-            let slot = c.id.slot as usize;
-            let s = self.slots[slot].take().expect("completed stream present");
-            self.total_weight -= s.weight;
+            self.slots[c.id.slot as usize]
+                .take()
+                .expect("completed stream present");
             self.active -= 1;
             self.free.push(c.id.slot);
         }
         if !done.is_empty() {
-            self.generation += 1;
-            if self.active == 0 {
-                self.total_weight = 0.0; // clear accumulated fp error
-            }
+            self.changed();
         }
         done
     }
@@ -318,8 +330,7 @@ impl FluidResource {
             }
         };
         self.active += 1;
-        self.total_weight += weight;
-        self.generation += 1;
+        self.changed();
         StreamId { slot, stamp }
     }
 
@@ -332,7 +343,7 @@ impl FluidResource {
         debug_assert_eq!(self.last_advance, now, "set_base_capacity without advance");
         assert!(cap > 0.0 && cap.is_finite(), "invalid capacity {cap}");
         self.base_capacity = cap;
-        self.generation += 1;
+        self.changed();
     }
 
     /// Change one stream's rate cap in place (freezing a stuck stream to a
@@ -345,7 +356,7 @@ impl FluidResource {
         match self.slots.get_mut(id.slot as usize) {
             Some(Some(s)) if s.stamp == id.stamp => {
                 s.cap = cap;
-                self.generation += 1;
+                self.changed();
                 true
             }
             _ => false,
@@ -363,13 +374,9 @@ impl FluidResource {
                 let s = entry
                     .take()
                     .expect("slot occupancy verified by the is_some guard");
-                self.total_weight -= s.weight;
                 self.active -= 1;
                 self.free.push(id.slot);
-                self.generation += 1;
-                if self.active == 0 {
-                    self.total_weight = 0.0;
-                }
+                self.changed();
                 Some(s.remaining)
             }
             _ => None,
@@ -386,8 +393,8 @@ impl FluidResource {
             return None;
         }
         let mut best: Option<f64> = None;
-        for (slot, rate) in self.rates() {
-            let s = self.slots[slot].as_ref().expect("active slot");
+        for &(slot, rate) in &self.rates {
+            let s = self.slots[slot as usize].as_ref().expect("active slot");
             if s.remaining.is_finite() && rate > 0.0 {
                 let secs = s.remaining / rate;
                 best = Some(best.map_or(secs, |b: f64| b.min(secs)));

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simkit::stats::{percentile, Ewma, Histogram, Quantiles, TimeSeries};
-use simkit::{EventQueue, FluidResource, Rng, SimDuration, SimTime};
+use simkit::{EventQueue, FluidResource, Rng, SimDuration, SimTime, StreamId};
 
 /// Build a time series from (already sorted) microsecond offsets, with the
 /// point's index as its value so stability violations are observable.
@@ -397,5 +397,290 @@ proptest! {
         let t = SimTime::from_micros(t);
         let d = SimDuration::from_micros(d);
         prop_assert_eq!((t + d) - t, d);
+    }
+}
+
+/// One live stream of [`FluidModel`].
+struct ModelStream {
+    id: StreamId,
+    remaining: f64,
+    weight: f64,
+    cap: f64,
+    tag: u64,
+}
+
+/// A test-side model of [`FluidResource`]: the same slot reuse (last
+/// freed first) and byte arithmetic, with every rate solved from scratch
+/// by [`FluidModel::rates`], the water-fill the resource ran on every
+/// query before it kept its rates per generation.
+struct FluidModel {
+    base: f64,
+    degradation: f64,
+    slots: Vec<Option<ModelStream>>,
+    free: Vec<usize>,
+    now: SimTime,
+    bytes_moved: f64,
+}
+
+impl FluidModel {
+    fn new(base: f64, degradation: f64) -> Self {
+        FluidModel {
+            base,
+            degradation,
+            slots: Vec::new(),
+            free: Vec::new(),
+            now: SimTime::ZERO,
+            bytes_moved: 0.0,
+        }
+    }
+
+    fn live(&self) -> impl Iterator<Item = &ModelStream> {
+        self.slots.iter().flatten()
+    }
+
+    fn aggregate_capacity(&self) -> f64 {
+        let n = self.live().count();
+        if n == 0 {
+            self.base
+        } else {
+            self.base / (1.0 + self.degradation * (n as f64 - 1.0))
+        }
+    }
+
+    /// `(slot, rate)` in slot order by weighted water-filling.
+    fn rates(&self) -> Vec<(usize, f64)> {
+        let mut out: Vec<(usize, f64)> = Vec::new();
+        let mut unfixed: Vec<(usize, f64, f64)> = Vec::new(); // slot, weight, cap
+        for (slot, s) in self.slots.iter().enumerate() {
+            if let Some(s) = s {
+                unfixed.push((slot, s.weight, s.cap));
+            }
+        }
+        let mut remaining = self.aggregate_capacity();
+        let mut unfixed_weight: f64 = unfixed.iter().map(|&(_, w, _)| w).sum();
+        loop {
+            if unfixed.is_empty() {
+                break;
+            }
+            let share = remaining / unfixed_weight;
+            let mut fixed_any = false;
+            unfixed.retain(|&(slot, w, cap)| {
+                if cap < share * w {
+                    out.push((slot, cap));
+                    remaining -= cap;
+                    unfixed_weight -= w;
+                    fixed_any = true;
+                    false
+                } else {
+                    true
+                }
+            });
+            if !fixed_any {
+                for &(slot, w, _) in &unfixed {
+                    out.push((slot, share * w));
+                }
+                break;
+            }
+        }
+        out.sort_unstable_by_key(|&(slot, _)| slot);
+        out
+    }
+
+    fn add(&mut self, id: StreamId, bytes: f64, weight: f64, cap: f64, tag: u64) {
+        let stream = ModelStream {
+            id,
+            remaining: bytes.max(2e-6),
+            weight,
+            cap,
+            tag,
+        };
+        match self.free.pop() {
+            Some(slot) => self.slots[slot] = Some(stream),
+            None => self.slots.push(Some(stream)),
+        }
+    }
+
+    fn slot_of(&self, id: StreamId) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|s| s.id == id))
+    }
+
+    fn remove(&mut self, slot: usize) -> f64 {
+        let s = self.slots[slot].take().expect("live slot");
+        self.free.push(slot);
+        s.remaining
+    }
+
+    /// Tags of the streams that complete, in slot order.
+    fn advance(&mut self, now: SimTime) -> Vec<u64> {
+        let dt = now.saturating_since(self.now);
+        self.now = now;
+        if self.live().count() == 0 || dt.is_zero() {
+            return Vec::new();
+        }
+        let dt_s = dt.as_secs_f64();
+        let mut done = Vec::new();
+        for (slot, rate) in self.rates() {
+            let s = self.slots[slot].as_mut().expect("live slot");
+            let moved = (rate * dt_s).min(s.remaining);
+            if moved.is_finite() {
+                self.bytes_moved += moved;
+            }
+            if s.remaining.is_finite() {
+                s.remaining -= moved;
+                if s.remaining <= 1e-6 {
+                    done.push(slot);
+                }
+            }
+        }
+        done.into_iter()
+            .map(|slot| {
+                let tag = self.slots[slot].as_ref().expect("live slot").tag;
+                self.remove(slot);
+                tag
+            })
+            .collect()
+    }
+
+    fn next_completion(&self) -> Option<SimTime> {
+        let mut best: Option<f64> = None;
+        for (slot, rate) in self.rates() {
+            let s = self.slots[slot].as_ref().expect("live slot");
+            if s.remaining.is_finite() && rate > 0.0 {
+                let secs = s.remaining / rate;
+                best = Some(best.map_or(secs, |b: f64| b.min(secs)));
+            }
+        }
+        best.map(|secs| {
+            let us = (secs * 1e6).ceil().max(1.0) as u64;
+            self.now + SimDuration::from_micros(us)
+        })
+    }
+
+    /// Every live stream's rate and remaining bytes, the bytes moved and
+    /// the next completion, bit for bit against the resource.
+    fn check(&self, r: &FluidResource) -> Result<(), TestCaseError> {
+        let rates = self.rates();
+        prop_assert_eq!(r.active_streams(), rates.len());
+        for (slot, rate) in rates {
+            let s = self.slots[slot].as_ref().expect("live slot");
+            prop_assert_eq!(
+                r.stream_rate(s.id).map(f64::to_bits),
+                Some(rate.to_bits()),
+                "rate of slot {}",
+                slot
+            );
+            prop_assert_eq!(
+                r.stream_remaining(s.id).map(f64::to_bits),
+                Some(s.remaining.to_bits()),
+                "remaining of slot {}",
+                slot
+            );
+        }
+        prop_assert_eq!(r.bytes_moved().to_bits(), self.bytes_moved.to_bits());
+        prop_assert_eq!(r.next_completion(), self.next_completion());
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The rates a resource keeps per generation are the rates a
+    /// from-scratch water-fill gives, bit for bit, after every op of a
+    /// random sequence: adds (finite and infinite bytes, capped and not),
+    /// removals (live and stale ids), cap and capacity changes, and
+    /// advances, some of them to the next completion.
+    #[test]
+    fn fluid_kept_rates_match_a_fresh_water_fill(
+        base in 50.0f64..500.0,
+        degradation in 0.0f64..0.5,
+        ops in proptest::collection::vec((0u8..8, any::<u64>(), 0.0f64..1.0), 1..80),
+    ) {
+        const WEIGHTS: [f64; 4] = [0.25, 1.0, 3.0, 12.0];
+        let mut r = FluidResource::new(base, degradation);
+        let mut m = FluidModel::new(base, degradation);
+        let mut gone: Vec<StreamId> = Vec::new();
+        let mut tag = 0u64;
+        for (op, a, x) in ops {
+            let now = m.now;
+            let weight = WEIGHTS[(a % 4) as usize];
+            let live: Vec<StreamId> = m.live().map(|s| s.id).collect();
+            let pick = live.get((a >> 8) as usize % live.len().max(1)).copied();
+            match op {
+                // A finite uncapped stream (a migration).
+                0 => {
+                    let bytes = x * 2_000.0;
+                    let id = r.add_stream(now, bytes, weight, tag);
+                    m.add(id, bytes, weight, f64::INFINITY, tag);
+                    tag += 1;
+                }
+                // A capped stream, finite or infinite (a reader, a
+                // background load).
+                1 => {
+                    let bytes = if a & 16 == 0 { x * 2_000.0 } else { f64::INFINITY };
+                    let cap = 1.0 + ((a >> 5) % 200) as f64;
+                    let id = r.add_stream_capped(now, bytes, weight, cap, tag);
+                    m.add(id, bytes, weight, cap, tag);
+                    tag += 1;
+                }
+                // An interference stream.
+                2 => {
+                    let id = r.add_stream(now, f64::INFINITY, weight, tag);
+                    m.add(id, f64::INFINITY, weight, f64::INFINITY, tag);
+                    tag += 1;
+                }
+                // Remove a live stream, or try a stale id.
+                3 => match (pick, gone.last()) {
+                    (Some(id), _) if a & 16 == 0 => {
+                        let slot = m.slot_of(id).expect("live id");
+                        let left = m.remove(slot);
+                        prop_assert_eq!(
+                            r.remove_stream(now, id).map(f64::to_bits),
+                            Some(left.to_bits())
+                        );
+                        gone.push(id);
+                    }
+                    (_, Some(&stale)) => prop_assert!(r.remove_stream(now, stale).is_none()),
+                    _ => {}
+                },
+                // Freeze, cap or uncap a live stream.
+                4 => {
+                    if let Some(id) = pick {
+                        let cap = match a % 3 {
+                            0 => 1e-3,
+                            1 => 1.0 + x * 100.0,
+                            _ => f64::INFINITY,
+                        };
+                        prop_assert!(r.set_stream_cap(now, id, cap));
+                        let slot = m.slot_of(id).expect("live id");
+                        m.slots[slot].as_mut().expect("live slot").cap = cap;
+                    }
+                }
+                // Degrade or restore the capacity.
+                5 => {
+                    let cap = 10.0 + x * 500.0;
+                    r.set_base_capacity(now, cap);
+                    m.base = cap;
+                }
+                // Advance by up to 3 s.
+                6 => {
+                    let to = now + SimDuration::from_micros((x * 3e6) as u64);
+                    let done: Vec<u64> = r.advance(to).iter().map(|c| c.tag).collect();
+                    prop_assert_eq!(done, m.advance(to));
+                }
+                // Advance to the next completion, which must complete a
+                // stream.
+                _ => {
+                    if let Some(to) = r.next_completion() {
+                        let done: Vec<u64> = r.advance(to).iter().map(|c| c.tag).collect();
+                        prop_assert!(!done.is_empty(), "no stream completed at {:?}", to);
+                        prop_assert_eq!(done, m.advance(to));
+                    }
+                }
+            }
+            m.check(&r)?;
+        }
     }
 }
