@@ -27,7 +27,7 @@ impl FileSpec {
 }
 
 /// Failure injections, applied at fixed instants (§III-C).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FailureEvent {
     /// DYRS master process restart: all soft migration state is lost.
     /// The process comes straight back on the same server ("we can
@@ -114,7 +114,7 @@ pub enum FailureEvent {
 /// catch. Every fault flows through the fluid model, so degraded disks and
 /// frozen streams contend with real traffic instead of being modeled as
 /// instantaneous state flips.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GrayFault {
     /// The node's disk silently degrades to `factor_milli`/1000 of its
     /// spec bandwidth (a dying disk, a firmware retry storm). Every stream

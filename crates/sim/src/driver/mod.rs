@@ -95,6 +95,9 @@ pub struct Simulation {
     /// FNV-1a digest over the dispatched event stream: same scenario +
     /// same seed must reproduce it bit-for-bit (tests/determinism.rs).
     pub(crate) trace_digest: simkit::audit::TraceDigest,
+    /// The same stream folded as words through `Ev`'s derived `Hash`
+    /// (see [`SimResult::word_digest`]).
+    pub(crate) word_digest: simkit::audit::TraceDigest,
     /// True once a master or slave restart has discarded soft state
     /// (§III-C): cross-component audits that assume the master's view is
     /// authoritative are skipped from then on.
@@ -247,6 +250,7 @@ impl Simulation {
             events_processed: 0,
             scrapes: 0,
             trace_digest: simkit::audit::TraceDigest::new(),
+            word_digest: simkit::audit::TraceDigest::new(),
             soft_state_reset: false,
             master_down_until: None,
             hb_lost_until: vec![SimTime::ZERO; n],
@@ -402,7 +406,9 @@ impl Simulation {
             self.events_processed += 1;
             {
                 use std::fmt::Write as _;
+                use std::hash::Hash as _;
                 let _ = write!(self.trace_digest, "{t:?}|{ev:?};");
+                (t, &ev).hash(&mut self.word_digest);
             }
             self.dispatch(ev);
         }
@@ -555,6 +561,7 @@ impl Simulation {
             events_processed: self.events_processed,
             scrapes: self.scrapes,
             trace_digest: self.trace_digest.value(),
+            word_digest: self.word_digest.value(),
             end_time: self.now,
             wire_frames,
             wire_bytes,

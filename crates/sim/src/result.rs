@@ -86,6 +86,10 @@ pub struct SimResult {
     /// this bit-for-bit; a mismatch means nondeterminism reached the
     /// event loop.
     pub trace_digest: u64,
+    /// The same event stream folded as 64-bit words through the derived
+    /// `Hash` of `(time, event)`. It sits beside `trace_digest` while the
+    /// pins move from the text digest to this one.
+    pub word_digest: u64,
     /// Simulated instant the last event fired.
     pub end_time: SimTime,
     /// Protocol frames moved through the wire codec. Zero under
@@ -195,6 +199,7 @@ mod tests {
             events_processed: 0,
             scrapes: 0,
             trace_digest: 0,
+            word_digest: 0,
             end_time: SimTime::ZERO,
             wire_frames: 0,
             wire_bytes: 0,

@@ -15,6 +15,7 @@
 //! out at the source level).
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// One failed invariant check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +116,8 @@ pub struct TraceDigest(u64);
 impl TraceDigest {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// Odd multiplier of the word step (2^64 / φ, rounded to odd).
+    const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
     /// A fresh digest (FNV offset basis).
     pub const fn new() -> Self {
@@ -129,9 +132,56 @@ impl TraceDigest {
         }
     }
 
+    /// Fold one 64-bit word. XOR, an odd multiply and an xorshift are
+    /// each a bijection of the state, so two word streams of equal length
+    /// that differ in exactly one word always end in different values.
+    fn fold(&mut self, word: u64) {
+        let x = (self.0 ^ word).wrapping_mul(Self::WORD_MUL);
+        self.0 = x ^ (x >> 32);
+    }
+
     /// The current digest value.
     pub fn value(&self) -> u64 {
         self.0
+    }
+}
+
+/// A value's derived [`Hash`](std::hash::Hash) feeds the digest one word
+/// per integer field, so `(time, event).hash(&mut digest)` folds an event
+/// without formatting it.
+impl Hasher for TraceDigest {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Fold `bytes` in little-endian 8-byte words, the last one
+    /// zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.fold(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.fold(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.fold(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.fold(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.fold(i as u64);
     }
 }
 
