@@ -29,6 +29,7 @@ use dyrs_engine::{JobMetrics, JobSpec, JobState, SlotPool, TaskId, TaskMetrics, 
 use simkit::stats::TimeSeries;
 use simkit::{EventQueue, Rng, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash as _;
 
 /// The integrated DYRS simulation.
 ///
@@ -92,12 +93,10 @@ pub struct Simulation {
     /// Admin-plane scrapes performed by the run loop (see
     /// [`SimConfig::scrape_interval`]).
     pub(crate) scrapes: u64,
-    /// FNV-1a digest over the dispatched event stream: same scenario +
-    /// same seed must reproduce it bit-for-bit (tests/determinism.rs).
+    /// Digest over the dispatched event stream, fed the derived `Hash`
+    /// of each `(time, event)`: same scenario + same seed must reproduce
+    /// it bit-for-bit (tests/determinism.rs).
     pub(crate) trace_digest: simkit::audit::TraceDigest,
-    /// The same stream folded as words through `Ev`'s derived `Hash`
-    /// (see [`SimResult::word_digest`]).
-    pub(crate) word_digest: simkit::audit::TraceDigest,
     /// True once a master or slave restart has discarded soft state
     /// (§III-C): cross-component audits that assume the master's view is
     /// authoritative are skipped from then on.
@@ -250,7 +249,6 @@ impl Simulation {
             events_processed: 0,
             scrapes: 0,
             trace_digest: simkit::audit::TraceDigest::new(),
-            word_digest: simkit::audit::TraceDigest::new(),
             soft_state_reset: false,
             master_down_until: None,
             hb_lost_until: vec![SimTime::ZERO; n],
@@ -404,12 +402,7 @@ impl Simulation {
                 }
             }
             self.events_processed += 1;
-            {
-                use std::fmt::Write as _;
-                use std::hash::Hash as _;
-                let _ = write!(self.trace_digest, "{t:?}|{ev:?};");
-                (t, &ev).hash(&mut self.word_digest);
-            }
+            (t, &ev).hash(&mut self.trace_digest);
             self.dispatch(ev);
         }
         self.finish()
@@ -561,7 +554,6 @@ impl Simulation {
             events_processed: self.events_processed,
             scrapes: self.scrapes,
             trace_digest: self.trace_digest.value(),
-            word_digest: self.word_digest.value(),
             end_time: self.now,
             wire_frames,
             wire_bytes,

@@ -67,7 +67,9 @@ pub enum StreamMeta {
     Dead,
 }
 
-/// Simulation events.
+/// Simulation events. The trace digest folds each dispatched event
+/// through its derived `Hash`, so every field of every variant (including
+/// those of [`FailureEvent`] and [`GrayFault`]) enters the digest.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Ev {
     /// A job's (dependency-resolved) submission instant.
@@ -105,8 +107,8 @@ pub enum Ev {
         on: bool,
         /// Number of reader streams when turning on.
         streams: u32,
-        /// Fluid weight per reader stream (micro-units: weight × 1000,
-        /// kept integral so `Ev` stays `Eq`).
+        /// Fluid weight per reader stream in thousandths (weight × 1000,
+        /// kept integral so `Ev` stays `Eq` and `Hash`).
         weight_milli: u64,
     },
     /// A failure injection fires.
@@ -127,7 +129,8 @@ pub enum Ev {
     Background {
         /// Victim node.
         node: NodeId,
-        /// Background utilization × 1000 (integral so `Ev` stays `Eq`).
+        /// Background utilization × 1000 (integral so `Ev` stays `Eq`
+        /// and `Hash`).
         frac_milli: u64,
     },
 }

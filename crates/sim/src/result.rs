@@ -81,15 +81,14 @@ pub struct SimResult {
     /// same `trace_digest` and the same exported report as the
     /// `scrapes == 0` run of the identical scenario.
     pub scrapes: u64,
-    /// FNV-1a digest of the dispatched event stream (time + event, in
-    /// order). Identical scenarios under identical seeds must reproduce
-    /// this bit-for-bit; a mismatch means nondeterminism reached the
-    /// event loop.
+    /// Digest of the dispatched event stream: the derived `Hash` of each
+    /// `(time, event)` pair, in order, folded one 64-bit word per integer
+    /// field by `simkit::audit::TraceDigest`. Identical scenarios under
+    /// identical seeds must reproduce this bit-for-bit; a mismatch means
+    /// nondeterminism reached the event loop. The derived `Hash` is the
+    /// compiler's, so a toolchain can move the value, as it could the
+    /// `Debug` text an earlier digest formatted.
     pub trace_digest: u64,
-    /// The same event stream folded as 64-bit words through the derived
-    /// `Hash` of `(time, event)`. It sits beside `trace_digest` while the
-    /// pins move from the text digest to this one.
-    pub word_digest: u64,
     /// Simulated instant the last event fired.
     pub end_time: SimTime,
     /// Protocol frames moved through the wire codec. Zero under
@@ -199,7 +198,6 @@ mod tests {
             events_processed: 0,
             scrapes: 0,
             trace_digest: 0,
-            word_digest: 0,
             end_time: SimTime::ZERO,
             wire_frames: 0,
             wire_bytes: 0,

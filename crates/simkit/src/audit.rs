@@ -8,11 +8,15 @@
 //! report, so a broken invariant is caught at the heartbeat where it
 //! appears rather than as a silently wrong figure.
 //!
-//! [`TraceDigest`] is an order-sensitive FNV-1a accumulator over the
-//! dispatched event stream. Two runs of the same scenario under the same
-//! seed must produce identical digests; a mismatch means nondeterminism
-//! entered the event loop (exactly what `dyrs-verify lint` exists to keep
-//! out at the source level).
+//! [`TraceDigest`] is an order-sensitive 64-bit digest over the
+//! dispatched event stream. It is a [`Hasher`]: the driver feeds it the
+//! derived `Hash` of each `(time, event)` pair, which folds one word per
+//! integer field, so no event is formatted. Two runs of the same scenario
+//! under the same seed must produce identical digests; a mismatch means
+//! nondeterminism entered the event loop (exactly what `dyrs-verify lint`
+//! exists to keep out at the source level). Like the `Debug` text it
+//! replaced, the derived `Hash` is the compiler's: a toolchain that
+//! changes what it writes for a type moves every digest pin.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -106,37 +110,28 @@ pub trait Audit {
     fn audit(&self, report: &mut AuditReport);
 }
 
-/// Order-sensitive 64-bit FNV-1a digest over a byte/text stream.
+/// Order-sensitive 64-bit digest over a stream of words.
 ///
-/// Implements [`fmt::Write`], so event streams can be folded in without
-/// allocating: `write!(digest, "{time:?}|{event:?}")?`.
+/// Every step folds one word into the state with XOR, an odd multiply
+/// and an xorshift, each a bijection of the state, so two streams of
+/// equal length that differ in exactly one word always end in different
+/// values. Feed it through [`Hasher`]: `(time, &event).hash(&mut digest)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceDigest(u64);
 
 impl TraceDigest {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    /// Odd multiplier of the word step (2^64 / φ, rounded to odd).
-    const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    /// Initial state (the FNV-1a offset basis, so a fresh digest is not 0).
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    /// Odd multiplier of the step (2^64 / φ, rounded to odd).
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-    /// A fresh digest (FNV offset basis).
+    /// A fresh digest.
     pub const fn new() -> Self {
-        TraceDigest(Self::OFFSET_BASIS)
+        TraceDigest(Self::SEED)
     }
 
-    /// Fold `bytes` into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Fold one 64-bit word. XOR, an odd multiply and an xorshift are
-    /// each a bijection of the state, so two word streams of equal length
-    /// that differ in exactly one word always end in different values.
     fn fold(&mut self, word: u64) {
-        let x = (self.0 ^ word).wrapping_mul(Self::WORD_MUL);
+        let x = (self.0 ^ word).wrapping_mul(Self::MUL);
         self.0 = x ^ (x >> 32);
     }
 
@@ -146,9 +141,15 @@ impl TraceDigest {
     }
 }
 
+impl Default for TraceDigest {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// A value's derived [`Hash`](std::hash::Hash) feeds the digest one word
-/// per integer field, so `(time, event).hash(&mut digest)` folds an event
-/// without formatting it.
+/// per integer field (an enum's discriminant included), so
+/// `(time, event).hash(&mut digest)` folds an event without formatting it.
 impl Hasher for TraceDigest {
     fn finish(&self) -> u64 {
         self.0
@@ -185,23 +186,9 @@ impl Hasher for TraceDigest {
     }
 }
 
-impl Default for TraceDigest {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Write for TraceDigest {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fmt::Write as _;
 
     #[test]
     fn clean_report_asserts_quietly() {
@@ -235,22 +222,40 @@ mod tests {
     fn digest_is_order_sensitive_and_stable() {
         let mut a = TraceDigest::new();
         let mut b = TraceDigest::new();
-        a.update(b"xy");
-        b.update(b"yx");
-        assert_ne!(a.value(), b.value());
+        a.write_u64(1);
+        a.write_u64(2);
+        b.write_u64(2);
+        b.write_u64(1);
+        assert_ne!(a.finish(), b.finish());
         let mut c = TraceDigest::new();
-        c.update(b"x");
-        c.update(b"y");
-        assert_eq!(a.value(), c.value(), "chunking must not matter");
+        c.write_u64(1);
+        c.write_u64(2);
+        assert_eq!(a.finish(), c.finish());
+        assert_eq!(a.finish(), a.value());
         assert_ne!(TraceDigest::new().value(), 0);
     }
 
     #[test]
-    fn digest_accepts_fmt_writes() {
-        let mut a = TraceDigest::new();
-        let mut b = TraceDigest::new();
-        write!(a, "ev{}", 1).unwrap();
-        b.update(b"ev1");
-        assert_eq!(a.value(), b.value());
+    fn every_integer_write_folds_one_word() {
+        let word = |write: &dyn Fn(&mut TraceDigest)| {
+            let mut d = TraceDigest::new();
+            write(&mut d);
+            d.finish()
+        };
+        let want = word(&|d| d.write_u64(0xfe));
+        assert_eq!(word(&|d| d.write_u8(0xfe)), want);
+        assert_eq!(word(&|d| d.write_u32(0xfe)), want);
+        assert_eq!(word(&|d| d.write_usize(0xfe)), want);
+        assert_eq!(word(&|d| d.write_isize(0xfe)), want);
+        // Bytes fold in little-endian words, the last one zero-padded.
+        assert_eq!(word(&|d| d.write(&[0xfe])), want);
+        let nine = word(&|d| d.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2]));
+        assert_eq!(
+            nine,
+            word(&|d| {
+                d.write_u64(1);
+                d.write_u64(2);
+            })
+        );
     }
 }

@@ -53,7 +53,7 @@ fn parallel_sweep_equals_serial_sweep() {
 
 #[test]
 fn event_traces_are_bit_stable_across_reruns() {
-    // The driver folds every dispatched (time, event) pair into an FNV
+    // The driver folds every dispatched (time, event) pair into a
     // digest; two runs of the same scenario under the same seed must
     // reproduce it bit-for-bit, or nondeterminism reached the event
     // loop. The failure drill matters most: the restart paths discard
@@ -148,7 +148,6 @@ fn event_traces_are_bit_stable_across_reruns() {
             a.trace_digest, b.trace_digest,
             "{label}: same seed must replay the identical event stream"
         );
-        assert_eq!(a.word_digest, b.word_digest, "{label}: word digest");
     }
     // Distinct scenarios must not collide — otherwise the digest is not
     // actually sensitive to the event stream.
@@ -156,10 +155,6 @@ fn event_traces_are_bit_stable_across_reruns() {
     digests.sort_unstable();
     digests.dedup();
     assert_eq!(digests.len(), first.len(), "scenario digests collided");
-    let mut words: Vec<u64> = first.iter().map(|(_, r)| r.word_digest).collect();
-    words.sort_unstable();
-    words.dedup();
-    assert_eq!(words.len(), first.len(), "scenario word digests collided");
 }
 
 #[test]
@@ -580,16 +575,18 @@ fn legacy_pin_task(label: &str, hetero: bool) -> SimTask {
     SimTask::new(label, cfg, jobs)
 }
 
-/// Pre-tier trace digest of `legacy_pin_task("hetero", true)`, captured on
-/// the commit immediately before the tier subsystem landed.
-const PRE_TIER_HETERO_DIGEST: u64 = 0x42E8_CF51_7764_1B05;
+// Every digest pin below was first captured as an FNV-1a digest over the
+// `Debug` text of each event, then moved to the word digest (the derived
+// `Hash` of each `(time, event)`) by a transition commit that asserted the
+// old pin and the new value on the same runs. The event counts date from
+// before that switch.
+
+/// Pre-tier trace digest of `legacy_pin_task("hetero", true)`. The text
+/// pin it replaced was captured on the commit immediately before the tier
+/// subsystem landed.
+const PRE_TIER_HETERO_DIGEST: u64 = 0x6068_3EB7_CF7A_E4D2;
 /// Pre-tier trace digest of `legacy_pin_task("homog", false)`.
-const PRE_TIER_HOMOG_DIGEST: u64 = 0x3CC4_03A5_2390_1B6C;
-/// Word digest (`SimResult::word_digest`) of `legacy_pin_task("hetero",
-/// true)`, asserted on the same run as the text pin above.
-const PRE_TIER_HETERO_WORD_DIGEST: u64 = 0x6068_3EB7_CF7A_E4D2;
-/// Word digest of `legacy_pin_task("homog", false)`.
-const PRE_TIER_HOMOG_WORD_DIGEST: u64 = 0x433F_412F_9B9A_F90E;
+const PRE_TIER_HOMOG_DIGEST: u64 = 0x433F_412F_9B9A_F90E;
 /// Events dispatched by `legacy_pin_task("hetero", true)`. Event counts
 /// do not depend on the digest function, so they carry across a change
 /// of it: a digest re-pin with unchanged counts changed no event.
@@ -618,8 +615,6 @@ fn two_tier_digests_match_the_pre_tier_pins() {
         out[1].1.trace_digest, PRE_TIER_HOMOG_DIGEST,
         "homog: legacy event stream changed"
     );
-    assert_eq!(out[0].1.word_digest, PRE_TIER_HETERO_WORD_DIGEST);
-    assert_eq!(out[1].1.word_digest, PRE_TIER_HOMOG_WORD_DIGEST);
     assert_eq!(out[0].1.events_processed, PRE_TIER_HETERO_EVENTS);
     assert_eq!(out[1].1.events_processed, PRE_TIER_HOMOG_EVENTS);
 }
@@ -644,7 +639,6 @@ fn explicit_two_tier_stack_replays_the_legacy_digest() {
         "explicit legacy() stack must replay the tiers: None event stream"
     );
     assert_eq!(out[1].1.trace_digest, PRE_TIER_HETERO_DIGEST);
-    assert_eq!(out[1].1.word_digest, PRE_TIER_HETERO_WORD_DIGEST);
     assert_eq!(out[1].1.events_processed, PRE_TIER_HETERO_EVENTS);
 }
 
@@ -653,9 +647,7 @@ fn explicit_two_tier_stack_replays_the_legacy_digest() {
 /// tier × replica scoring were still present, under their `Baseline`
 /// default). Equality proves that dropping them left the tiered event
 /// stream untouched, as `PRE_TIER_*` does for the 2-tier stack.
-const THREE_TIER_DIGEST: u64 = 0x9E7C_A21F_AC70_B55C;
-/// Word digest of the 3-tier scenario below.
-const THREE_TIER_WORD_DIGEST: u64 = 0xF887_CE94_8A0A_D3D4;
+const THREE_TIER_DIGEST: u64 = 0xF887_CE94_8A0A_D3D4;
 /// Events dispatched by the 3-tier scenario below.
 const THREE_TIER_EVENTS: u64 = 552;
 
@@ -689,7 +681,6 @@ fn three_tier_scenario_runs_end_to_end() {
         a.trace_digest, THREE_TIER_DIGEST,
         "3-tier event stream changed"
     );
-    assert_eq!(a.word_digest, THREE_TIER_WORD_DIGEST);
     assert_eq!(a.events_processed, THREE_TIER_EVENTS);
     assert!(!a.jobs.is_empty() && a.failed_jobs.is_empty());
     // evictions were salvaged by demotion, and are attributable
@@ -751,20 +742,13 @@ fn swim_drill_failures() -> Vec<FailureEvent> {
 /// Trace digests of `swim_pin_task` under DYRS, Ignem and `Disabled`, and
 /// of the DYRS drill, captured on the commit before the driver kept
 /// per-live-job bookkeeping (428, 58, 79 and 389 speculations).
-const SWIM_DYRS_DIGEST: u64 = 0x2E14_3E4A_8160_AC79;
+const SWIM_DYRS_DIGEST: u64 = 0x5A34_DE5F_36E7_D3A3;
 /// Ignem's run: its memory-replica rule filters speculation candidates.
-const SWIM_IGNEM_DIGEST: u64 = 0xB02F_1B77_AD29_57B2;
+const SWIM_IGNEM_DIGEST: u64 = 0xFD69_9D9C_D8EA_E64C;
 /// `Disabled`: speculation on plain HDFS reads.
-const SWIM_DISABLED_DIGEST: u64 = 0x223A_5D5C_91FA_F7F2;
+const SWIM_DISABLED_DIGEST: u64 = 0xDBD4_1092_6E4B_385C;
 /// The DYRS run under `swim_drill_failures`.
-const SWIM_DRILL_DIGEST: u64 = 0x5949_86B4_CC52_9088;
-/// Word digests of the DYRS, Ignem, `Disabled` and drill SWIM runs.
-const SWIM_WORD_DIGESTS: [u64; 4] = [
-    0x5A34_DE5F_36E7_D3A3,
-    0xFD69_9D9C_D8EA_E64C,
-    0xDBD4_1092_6E4B_385C,
-    0xDA3B_0253_9992_8056,
-];
+const SWIM_DRILL_DIGEST: u64 = 0xDA3B_0253_9992_8056;
 /// Events dispatched by the DYRS, Ignem, `Disabled` and drill SWIM runs.
 const SWIM_EVENTS: [u64; 4] = [18_783, 18_639, 17_050, 19_807];
 
@@ -813,12 +797,9 @@ fn swim_speculation_digests_match_the_pins() {
         SWIM_DISABLED_DIGEST,
         SWIM_DRILL_DIGEST,
     ];
-    for ((((label, r), pin), word), events) in
-        out.iter().zip(pins).zip(SWIM_WORD_DIGESTS).zip(SWIM_EVENTS)
-    {
+    for (((label, r), pin), events) in out.iter().zip(pins).zip(SWIM_EVENTS) {
         assert!(r.speculations > 0, "{label}: the pin must speculate");
         assert_eq!(r.trace_digest, pin, "{label}: SWIM event stream changed");
-        assert_eq!(r.word_digest, word, "{label}: SWIM word digest changed");
         assert_eq!(r.events_processed, events, "{label}: event count changed");
     }
     // The logs at volume: thousands of span events and provenance
@@ -872,13 +853,9 @@ fn wide_swim_task(nodes: u32) -> SimTask {
 }
 
 /// Trace digest of `wide_swim_task(256)`.
-const SWIM_256_DIGEST: u64 = 0x818D_F189_7D5D_C440;
+const SWIM_256_DIGEST: u64 = 0x4B0E_2C33_7D4B_2BB9;
 /// Trace digest of `wide_swim_task(1024)`.
-const SWIM_1024_DIGEST: u64 = 0x20DE_18EC_2675_687A;
-/// Word digest of `wide_swim_task(256)`.
-const SWIM_256_WORD_DIGEST: u64 = 0x4B0E_2C33_7D4B_2BB9;
-/// Word digest of `wide_swim_task(1024)`.
-const SWIM_1024_WORD_DIGEST: u64 = 0xBCCB_910A_E7CA_C86D;
+const SWIM_1024_DIGEST: u64 = 0xBCCB_910A_E7CA_C86D;
 /// Events dispatched by `wide_swim_task(256)`.
 const SWIM_256_EVENTS: u64 = 79_234;
 /// Events dispatched by `wide_swim_task(1024)`.
@@ -893,7 +870,6 @@ fn wide_swim_digest_matches_the_pin() {
         r.trace_digest, SWIM_256_DIGEST,
         "256-node event stream changed"
     );
-    assert_eq!(r.word_digest, SWIM_256_WORD_DIGEST);
     assert_eq!(r.events_processed, SWIM_256_EVENTS);
     // No job may fail. The start-up stagger delays node n's first
     // heartbeat to 50n ms (12.75 s here), so a liveness view that times
@@ -916,7 +892,6 @@ fn thousand_node_swim_digest_matches_the_pin() {
         r.trace_digest, SWIM_1024_DIGEST,
         "1024-node event stream changed"
     );
-    assert_eq!(r.word_digest, SWIM_1024_WORD_DIGEST);
     assert_eq!(r.events_processed, SWIM_1024_EVENTS);
 }
 
