@@ -2,9 +2,11 @@
 //!
 //! CI wants a coarse number per commit to spot order-of-magnitude
 //! regressions and a JSON artifact to diff across commits. This binary times a handful of representative
-//! hot paths (Algorithm 1 retargeting, one end-to-end simulation, the
+//! hot paths (Algorithm 1 retargeting, end-to-end simulations, the
 //! wire codec, the loopback transport) with plain `Instant` sampling and
-//! writes `BENCH_<sha>.json`:
+//! writes `BENCH_<sha>.json`. A simulation's line also carries the
+//! events its run dispatched (deterministic), so events/s can be read
+//! off it:
 //!
 //! ```text
 //! bench-snapshot [--sha SHA] [--out DIR]
@@ -17,13 +19,15 @@
 use dyrs::master::{BlockRequest, Master};
 use dyrs::types::EvictionMode;
 use dyrs::MigrationPolicy;
-use dyrs_cluster::NodeId;
+use dyrs_cluster::{ClusterSpec, InterferenceSchedule, NodeId};
 use dyrs_dfs::{BlockId, JobId};
-use dyrs_experiments::scenarios::{hetero_config, with_workload};
+use dyrs_experiments::scenarios::{hetero_config, with_workload, DD_STREAMS};
 use dyrs_net::frame::{decode_frame, encode_frame, supported_versions};
 use dyrs_net::{LoopbackHub, Message, Peer, Transport, PROTOCOL_VERSION};
-use dyrs_sim::Simulation;
-use dyrs_workloads::sort;
+use dyrs_sim::config::WireMode;
+use dyrs_sim::prelude::JobSpec;
+use dyrs_sim::{SimConfig, Simulation};
+use dyrs_workloads::{sort, swim};
 use simkit::{json, Rng, SimDuration};
 use std::time::Instant;
 
@@ -47,6 +51,8 @@ struct Snapshot {
     median_ns: u64,
     min_ns: u64,
     max_ns: u64,
+    /// Events one run dispatched, for a simulation.
+    events: Option<u64>,
 }
 
 fn summarize(name: &'static str, mut samples: Vec<u64>) -> Snapshot {
@@ -57,6 +63,25 @@ fn summarize(name: &'static str, mut samples: Vec<u64>) -> Snapshot {
         median_ns: samples[samples.len() / 2],
         min_ns: samples[0],
         max_ns: samples[samples.len() - 1],
+        events: None,
+    }
+}
+
+/// Time `iters` runs of one simulation input (building the simulation
+/// included, generating its input not).
+fn bench_sim(name: &'static str, iters: usize, input: (SimConfig, Vec<JobSpec>)) -> Snapshot {
+    let mut events = 0;
+    let mut samples = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let (cfg, jobs) = input.clone();
+        let t = Instant::now();
+        let r = Simulation::new(cfg, jobs).run();
+        samples.push(t.elapsed().as_nanos() as u64);
+        events = r.events_processed;
+    }
+    Snapshot {
+        events: Some(events),
+        ..summarize(name, samples)
     }
 }
 
@@ -206,15 +231,54 @@ fn bench_pull_bind() -> (Snapshot, Snapshot) {
 }
 
 fn bench_end_to_end() -> Snapshot {
-    summarize(
-        "sim/hetero_sort_2GB",
-        sample(5, || {
-            let cfg = hetero_config(MigrationPolicy::Dyrs, 7);
-            let w = sort::sort_workload(2 << 30, SimDuration::ZERO, 0);
-            let (cfg, jobs) = with_workload(cfg, w);
-            std::hint::black_box(Simulation::new(cfg, jobs).run().end_time);
-        }),
-    )
+    let mut events = 0;
+    let samples = sample(5, || {
+        let cfg = hetero_config(MigrationPolicy::Dyrs, 7);
+        let w = sort::sort_workload(2 << 30, SimDuration::ZERO, 0);
+        let (cfg, jobs) = with_workload(cfg, w);
+        events = Simulation::new(cfg, jobs).run().events_processed;
+    });
+    Snapshot {
+        events: Some(events),
+        ..summarize("sim/hetero_sort_2GB", samples)
+    }
+}
+
+/// Seed of the SWIM benches.
+const SWIM_SEED: u64 = 7;
+
+/// The default SWIM trace on the paper's 7-node heterogeneous cluster
+/// (`hetero_config`), as perfbench's `swim_paper` workload runs it.
+fn bench_swim_7n() -> Snapshot {
+    let w = swim::generate(&swim::SwimParams::default(), SWIM_SEED);
+    let cfg = hetero_config(MigrationPolicy::Dyrs, SWIM_SEED);
+    bench_sim("sim/swim_7n", 10, with_workload(cfg, w))
+}
+
+/// perfbench's `swim_wide` construction: 64 uniform nodes with a
+/// dd-slowed node every 7th, SWIM scaled by 64/7 in jobs, input bytes and
+/// arrival rate, the loopback wire and a scrape every 10 simulated
+/// seconds.
+fn bench_swim_64n() -> Snapshot {
+    const NODES: u32 = 64;
+    let k = f64::from(NODES) / 7.0;
+    let base = swim::SwimParams::default();
+    let params = swim::SwimParams {
+        jobs: (base.jobs as f64 * k) as usize,
+        total_input_bytes: (base.total_input_bytes as f64 * k) as u64,
+        mean_interarrival_secs: base.mean_interarrival_secs / k,
+        ..base
+    };
+    let mut cfg = SimConfig::paper_default(MigrationPolicy::Dyrs, SWIM_SEED);
+    cfg.cluster = ClusterSpec::uniform(NODES as usize);
+    for n in (0..NODES).step_by(7) {
+        cfg.interference
+            .push(InterferenceSchedule::persistent(NodeId(n), DD_STREAMS));
+    }
+    cfg.wire = WireMode::Loopback;
+    cfg.scrape_interval = Some(SimDuration::from_secs(10));
+    let w = swim::generate(&params, SWIM_SEED);
+    bench_sim("sim/swim_64n", 5, with_workload(cfg, w))
 }
 
 fn bench_codec() -> Snapshot {
@@ -285,6 +349,8 @@ fn main() {
         pull_100k,
         bench_pull_bind_1m(),
         bench_end_to_end(),
+        bench_swim_7n(),
+        bench_swim_64n(),
         bench_codec(),
         bench_loopback(),
     ];
@@ -295,9 +361,12 @@ fn main() {
     json.push_str(&format!("  \"sha\": \"{}\",\n", json::escape(&sha)));
     json.push_str("  \"benches\": [\n");
     for (i, s) in snapshots.iter().enumerate() {
+        let events = s
+            .events
+            .map_or(String::new(), |n| format!(", \"events\": {n}"));
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \
-             \"min_ns\": {}, \"max_ns\": {}}}{}\n",
+             \"min_ns\": {}, \"max_ns\": {}{events}}}{}\n",
             s.name,
             s.iters,
             s.median_ns,
@@ -311,8 +380,14 @@ fn main() {
     let path = format!("{out_dir}/BENCH_{sha}.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     for s in &snapshots {
+        let events = s.events.map_or(String::new(), |n| {
+            format!(
+                ", {n} events, {:.0} events/s",
+                n as f64 * 1e9 / s.median_ns as f64
+            )
+        });
         println!(
-            "{:32} median {:>12} ns  (min {}, max {}, n={})",
+            "{:32} median {:>12} ns  (min {}, max {}, n={}{events})",
             s.name, s.median_ns, s.min_ns, s.max_ns, s.iters
         );
     }
