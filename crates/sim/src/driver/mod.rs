@@ -29,7 +29,7 @@ use dyrs_engine::{JobMetrics, JobSpec, JobState, SlotPool, TaskId, TaskMetrics, 
 use simkit::stats::TimeSeries;
 use simkit::{EventQueue, Rng, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::Hash as _;
+use std::hash::{Hash as _, Hasher as _};
 
 /// The integrated DYRS simulation.
 ///
@@ -553,7 +553,7 @@ impl Simulation {
             repairs: self.repairs_completed,
             events_processed: self.events_processed,
             scrapes: self.scrapes,
-            trace_digest: self.trace_digest.value(),
+            trace_digest: self.trace_digest.finish(),
             end_time: self.now,
             wire_frames,
             wire_bytes,

@@ -134,11 +134,6 @@ impl TraceDigest {
         let x = (self.0 ^ word).wrapping_mul(Self::MUL);
         self.0 = x ^ (x >> 32);
     }
-
-    /// The current digest value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
 }
 
 impl Default for TraceDigest {
@@ -231,8 +226,7 @@ mod tests {
         c.write_u64(1);
         c.write_u64(2);
         assert_eq!(a.finish(), c.finish());
-        assert_eq!(a.finish(), a.value());
-        assert_ne!(TraceDigest::new().value(), 0);
+        assert_ne!(TraceDigest::new().finish(), 0);
     }
 
     #[test]
